@@ -95,7 +95,12 @@ def environment() -> dict:
 
 
 class Context:
-    """Imported package, generated inputs and the executor for one workload."""
+    """Imported package, generated inputs and the executor for one workload.
+
+    Building one is the set-up: import ``yinyang`` afresh, generate the
+    first cycle of inputs and run the warm-up requests.  Later cycles are
+    generated when the run reaches them, between requests.
+    """
 
     def __init__(self, workload: str, seed: int):
         self.workload = workload
@@ -111,12 +116,19 @@ class Context:
         self.cli = importlib.import_module("yinyang.cli")
         self.circle_sets = importlib.import_module("yinyang.circle_sets")
         generate, warmup = W.GENERATORS[workload]
-        self.cycles = generate(seed, W.CYCLES[workload], self.work)
+        self._stream = generate(seed, self.work)
+        self.cycles = [next(self._stream)]
         self.golden = W.read_golden(ROOT) if workload == "render_requests" else {}
         self.work.mkdir(parents=True, exist_ok=True)
         for req in warmup(self.work):
             self.execute(req)
             self.collect(req)
+
+    def cycle(self, i: int) -> list[W.Request]:
+        """Cycle i, drawing the cycles before it from the stream if need be."""
+        while len(self.cycles) <= i:
+            self.cycles.append(next(self._stream))
+        return self.cycles[i]
 
     def execute(self, req: W.Request):
         """The timed part of a request."""
@@ -172,33 +184,14 @@ class Context:
         return elapsed, out, reason
 
 
-class SetUps:
-    """SETUP_REPEATS set-ups spread evenly over the run, the first before it.
-
-    Spreading them lets their median sample the same machine states as the
-    requests instead of one short window at the start.
-    """
-
-    def __init__(self, workload: str, seed: int, seconds: float):
-        self.workload, self.seed, self.seconds = workload, seed, seconds
-        self.times: list[float] = []
-        self.ctx = self._new()
-
-    def _new(self) -> Context:
+def set_up(workload: str, seed: int) -> tuple[Context, float]:
+    """SETUP_REPEATS set-ups back to back: the last context and the median time."""
+    times = []
+    for _ in range(SETUP_REPEATS):
         start = time.perf_counter()
-        ctx = Context(self.workload, self.seed)
-        self.times.append(time.perf_counter() - start)
-        return ctx
-
-    def due(self, elapsed: float) -> None:
-        """Set up afresh once the next share of the run has passed."""
-        if len(self.times) < SETUP_REPEATS and elapsed >= len(self.times) * self.seconds / SETUP_REPEATS:
-            self.ctx = self._new()
-
-    def median(self) -> float:
-        while len(self.times) < SETUP_REPEATS:
-            self.ctx = self._new()
-        return statistics.median(self.times)
+        ctx = Context(workload, seed)
+        times.append(time.perf_counter() - start)
+    return ctx, statistics.median(times)
 
 
 # -- measurement ---------------------------------------------------------------------
@@ -219,18 +212,20 @@ def tail(latencies: list[float]) -> tuple[float, float, int]:
 
 class Tally:
     def __init__(self):
+        self.requests: list[W.Request] = []
         self.latencies: list[float] = []
         self.failures: list[str] = []
         self.output_bytes = 0
 
     def add(self, req: W.Request, elapsed: float, out: W.Outcome, reason: str) -> None:
+        self.requests.append(req)
         self.latencies.append(elapsed)
         self.output_bytes += sum(len(b) for b in out.files.values())
         if reason:
             self.failures.append(f"{req.argv or req.tags}: {reason}")
 
 
-def measure(setups: SetUps, seconds: float, tracer: tracing.Tracer | None = None) -> tuple[Tally, Tally, int]:
+def measure(ctx: Context, seconds: float, tracer: tracing.Tracer | None = None) -> tuple[Tally, Tally, int]:
     """Whole cycles, closed loop, until `seconds` of wall time have passed.
 
     With a tracer every request runs twice, untraced and traced, alternating
@@ -240,9 +235,7 @@ def measure(setups: SetUps, seconds: float, tracer: tracing.Tracer | None = None
     done = 0
     start = time.perf_counter()
     while done == 0 or time.perf_counter() - start < seconds:
-        setups.due(time.perf_counter() - start)
-        ctx = setups.ctx
-        for req in ctx.cycles[done % len(ctx.cycles)]:
+        for req in ctx.cycle(done):
             if tracer is None:
                 plain.add(req, *ctx.run_one(req))
                 continue
@@ -269,14 +262,12 @@ def run_workload(workload: str, seed: int, seconds: float, trace: bool) -> dict:
     sink = open(os.devnull, "w")  # the CLI reports written files on stderr
     try:
         with contextlib.redirect_stderr(sink):
-            setups = SetUps(workload, seed, seconds)
-            tally, traced, cycles = measure(setups, seconds, tracer)
-            setup_s = setups.median()
+            ctx, setup_s = set_up(workload, seed)
+            tally, traced, cycles = measure(ctx, seconds, tracer)
     finally:
         sink.close()
-    ctx = setups.ctx
     n = len(tally.latencies)
-    props = W.input_properties(workload, ctx.cycles, n)
+    props = W.input_properties(workload, tally.requests)
     print(f"# inputs {json.dumps({'workload': workload, 'seed': seed, 'cycles': cycles, **props}, sort_keys=True)}")
     print(f"# waiting {WAITING_NOTE}")
     failures = tally.failures + traced.failures
@@ -296,7 +287,7 @@ def run_workload(workload: str, seed: int, seconds: float, trace: bool) -> dict:
             "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
         }
         notes = {"latency_tail_ms": f"(p{pct:.4g} of {n} samples, {beyond} beyond)",
-                 "setup_s": f"(median of {SETUP_REPEATS} set-ups)",
+                 "setup_s": f"(median of {SETUP_REPEATS} set-ups back to back)",
                  "throughput_rps": f"({n} requests, {cycles} whole cycles, service time only)"}
         for name, value in metrics.items():
             _print_metric(workload, name, value, END_TO_END_UNITS[name], notes.get(name, ""))

@@ -33,23 +33,23 @@ def _snapshot(cycles, workdir: Path) -> list:
 
 @pytest.mark.parametrize("workload", W.WORKLOADS)
 def test_same_seed_same_inputs(workload, tmp_path):
-    generate, _ = W.GENERATORS[workload]
-    first = _snapshot(generate(7, 6, tmp_path), tmp_path)
+    first = _snapshot(W.take(workload, 7, 6, tmp_path), tmp_path)
     shutil.rmtree(tmp_path)
     tmp_path.mkdir()
-    second = _snapshot(generate(7, 6, tmp_path), tmp_path)
+    second = _snapshot(W.take(workload, 7, 6, tmp_path), tmp_path)
     assert first == second
-    other = _snapshot(generate(8, 6, tmp_path / "other"), tmp_path / "other")
+    other = _snapshot(W.take(workload, 8, 6, tmp_path / "other"), tmp_path / "other")
     assert other[0] != first[0]
 
 
 def test_cycles_keep_their_mix_across_seeds(tmp_path):
     def mix(seed):
-        cycles = W.verify_cycles(seed, 4, tmp_path / str(seed))
+        cycles = W.take("verify_requests", seed, 4, tmp_path / str(seed))
         return sorted((r.tags["family"], r.tags.get("k"), r.tags["q_max"]) for c in cycles for r in c)
 
     assert mix(1) == mix(2)
-    props = W.input_properties("verify_requests", W.verify_cycles(1, 4, tmp_path / "p"), 16)
+    requests = [r for c in W.take("verify_requests", 1, 4, tmp_path / "p") for r in c]
+    props = W.input_properties("verify_requests", requests)
     assert props["q_max_share"] == 0.25
     assert props["repeat_share"] == 0.0
 

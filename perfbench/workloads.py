@@ -4,23 +4,28 @@ Each workload is a list of *cycles*.  A cycle is a fixed mix of request
 kinds (family, smoothness order, ``--q-max``, arc count, render kind); the
 seed only draws the parameters inside each kind and the order inside the
 cycle.  Timing statistics are taken over whole cycles, so every seed
-measures the same mix and the figures compare across seeds.
+measures the same mix and the figures compare across seeds.  A generator
+yields cycles one at a time from one seeded stream, so a run draws only
+the cycles it executes and the same seed always gives the same sequence.
 
 The program under test receives only generated argv lists and JSON files:
 the ``verify``, ``oracle`` and ``render`` requests go through
 ``yinyang.cli.run(argv)`` in-process, the arc-algebra requests through the
 ``CircleSet`` API on a JSON document.  Expected results (A4 verdicts,
-oracle references, golden SVG bytes) are fixed by the generator from the
-theory, never by running the program.
+oracle references, independent union lengths, golden SVG bytes) follow
+from the theory or from code written here, never from running the program;
+the costly ones are computed by the checks, outside every timed interval.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -111,6 +116,9 @@ def _ck_lambda_max(k: int) -> float:
     return float(2.0 / -slope.min())
 
 
+CK_LAMBDA_MAX = {k: _ck_lambda_max(k) for k in range(4)}
+
+
 def _reference_overlap(t_of_v, length: float, g: float, nodes: int = 20_000) -> float:
     """Reflection overlap at axis g by midpoint quadrature of the single-arc formula.
 
@@ -138,7 +146,7 @@ class _Tables:
         return str(path)
 
 
-def _custom(rng, tables: _Tables, parts: int, kind: str) -> tuple[list[str], bool, dict, callable]:
+def _custom(rng, tables: _Tables, parts: int, kind: str) -> tuple[list[str], bool, dict, list]:
     knots = int(rng.integers(8, 41))
     if kind == "quarter":
         table, balanced, turns = _quarter_shift_table(rng, knots), True, 1.0
@@ -147,17 +155,15 @@ def _custom(rng, tables: _Tables, parts: int, kind: str) -> tuple[list[str], boo
         table, balanced = _linear_table(rng, knots, turns), True
     else:
         table, balanced, turns = _power_table(rng, knots, float(rng.uniform(1.5, 3.0))), False, 1.0
-    arr = np.array([[0.0, 0.0]] + table)
-    inverse = lambda v: np.interp(v, arr[:, 1], arr[:, 0])
     flags = ["--family", "custom", "--parts", str(parts), "--samples", tables.write(table)]
     tags = {"family": "custom", "table": kind, "knots": len(table), "parts": parts, "turns": turns}
-    return flags, balanced, tags, inverse
+    return flags, balanced, tags, table
 
 
 # -- verify_requests ------------------------------------------------------------
 
 
-def verify_cycles(seed: int, n_cycles: int, workdir: Path) -> list[list[Request]]:
+def verify_cycles(seed: int, workdir: Path) -> Iterator[list[Request]]:
     """``yy verify`` at the CLI defaults over all four families.
 
     Every cycle holds one request of each family.  The ck order k is the
@@ -168,10 +174,8 @@ def verify_cycles(seed: int, n_cycles: int, workdir: Path) -> list[list[Request]
     """
     rng = np.random.default_rng([seed, 1])
     tables = _Tables(workdir / "inputs" / "verify")
-    lam_max = {k: _ck_lambda_max(k) for k in range(4)}
     fermat_deck: list[int] = []
-    cycles = []
-    for i in range(n_cycles):
+    for i in itertools.count():
         if not fermat_deck:
             fermat_deck = [int(x) for x in rng.permutation(len(FERMAT_SPECS))]
         turns, parts = FERMAT_SPECS[fermat_deck.pop()]
@@ -183,7 +187,7 @@ def verify_cycles(seed: int, n_cycles: int, workdir: Path) -> list[list[Request]
                       parts == 2, {"family": "sine", "parts": parts}))
         k = i % 4
         parts = int(rng.integers(2, 5))
-        lam = float(rng.uniform(0.2, 0.9) * lam_max[k])
+        lam = float(rng.uniform(0.2, 0.9) * CK_LAMBDA_MAX[k])
         slots.append((["--family", "ck", "--lambda", repr(lam), "--k", str(k), "--parts", str(parts)],
                       parts == 2, {"family": "ck", "k": k, "parts": parts}))
         kind = str(rng.choice(["quarter", "linear", "power"]))
@@ -203,8 +207,7 @@ def verify_cycles(seed: int, n_cycles: int, workdir: Path) -> list[list[Request]
                 expect={"a4": balanced, "parts": tags["parts"], "family": tags["family"],
                         "q_max": q_max},
             ))
-        cycles.append(cycle)
-    return cycles
+        yield cycle
 
 
 def _warmup_flags(workdir: Path) -> list[list[str]]:
@@ -262,19 +265,17 @@ def check_verify(req: Request, out: Outcome) -> str:
 ORACLE_CYCLE = ("fermat",) * 8 + ("custom", "sine", "ck_low", "ck_high", "ck_high")
 
 
-def oracle_cycles(seed: int, n_cycles: int, workdir: Path) -> list[list[Request]]:
+def oracle_cycles(seed: int, workdir: Path) -> Iterator[list[Request]]:
     """``yy oracle`` at ORACLE_SAMPLES samples with fresh axes and sampler seeds.
 
     Sine and ck requests use two parts (balanced, reference 1/4).  Fermat
     requests include 1.5 turns and custom requests include power tables,
-    which are unbalanced; their reference overlap is computed here at
-    set-up by independent quadrature.
+    which are unbalanced; the check computes their reference overlap by
+    independent quadrature from the sample table kept in ``expect``.
     """
     rng = np.random.default_rng([seed, 2])
     tables = _Tables(workdir / "inputs" / "oracle")
-    lam_max = {k: _ck_lambda_max(k) for k in range(4)}
-    cycles = []
-    for i in range(n_cycles):
+    while True:
         cycle = []
         for j in rng.permutation(len(ORACLE_CYCLE)):
             slot = ORACLE_CYCLE[j]
@@ -285,37 +286,45 @@ def oracle_cycles(seed: int, n_cycles: int, workdir: Path) -> list[list[Request]
                 flags = ["--family", "fermat", "--turns", repr(turns), "--parts", str(parts)]
                 tags = {"family": "fermat", "turns": turns, "parts": parts}
                 balanced = turns != 1.5
-                inverse = lambda v, turns=turns: (turns / 2.0) * v
+                table = [[turns / 2.0, 1.0]]  # alpha is linear: one knot after the origin
             elif slot == "custom":
                 kind = str(rng.choice(["quarter", "linear", "power"]))
                 parts = 2 if kind == "quarter" else int(rng.integers(2, 5))
-                flags, balanced, tags, inverse = _custom(rng, tables, parts, kind)
+                flags, balanced, tags, table = _custom(rng, tables, parts, kind)
             elif slot == "sine":
                 parts = 2
                 flags = ["--family", "sine", "--lambda", repr(float(rng.uniform(0.02, 0.23)))]
-                tags, balanced, inverse = {"family": "sine", "parts": 2}, True, None
+                tags, balanced = {"family": "sine", "parts": 2}, True
             else:
                 parts = 2
                 k = int(rng.integers(0, 2)) if slot == "ck_low" else int(rng.integers(2, 4))
-                lam = float(rng.uniform(0.2, 0.9) * lam_max[k])
+                lam = float(rng.uniform(0.2, 0.9) * CK_LAMBDA_MAX[k])
                 flags = ["--family", "ck", "--lambda", repr(lam), "--k", str(k)]
-                tags, balanced, inverse = {"family": "ck", "k": k, "parts": 2}, True, None
+                tags, balanced = {"family": "ck", "k": k, "parts": 2}, True
             length = 1.0 / parts
-            reference = length * length if balanced else _reference_overlap(inverse, length, g)
+            expect = ({"reference": length * length} if balanced
+                      else {"table": table, "length": length, "g": g})
             mc_seed = int(rng.integers(0, 2**31))
             argv = ("oracle", *flags, "--g", repr(g), "--mc-samples", str(ORACLE_SAMPLES),
                     "--seed", str(mc_seed))
             cycle.append(Request(kind="cli", key=" ".join(argv), argv=argv, out_name="estimate.json",
-                                 tags={**tags, "balanced": balanced},
-                                 expect={"reference": reference}))
-        cycles.append(cycle)
-    return cycles
+                                 tags={**tags, "balanced": balanced}, expect=expect))
+        yield cycle
 
 
 def oracle_warmup(workdir: Path) -> list[Request]:
     return [Request(kind="cli", key="warmup", tags={}, out_name="estimate.json",
                     argv=("oracle", *f, "--g", "0.3", "--mc-samples", "1000"))
             for f in _warmup_flags(workdir)]
+
+
+def oracle_reference(expect: dict) -> float:
+    """1/parts^2 for a balanced spec, else the reflection overlap of its sample table."""
+    if "reference" in expect:
+        return expect["reference"]
+    knots = np.array([[0.0, 0.0]] + expect["table"])
+    t_of_v = lambda v: np.interp(v, knots[:, 1], knots[:, 0])
+    return _reference_overlap(t_of_v, expect["length"], expect["g"])
 
 
 def check_oracle(req: Request, out: Outcome) -> str:
@@ -330,7 +339,7 @@ def check_oracle(req: Request, out: Outcome) -> str:
         return f"{samples} samples, requested {ORACLE_SAMPLES}"
     if not stderr > 0.0:
         return "zero standard error"
-    ref = req.expect["reference"]
+    ref = oracle_reference(req.expect)
     if abs(value - ref) > ORACLE_Z * stderr:
         return f"estimate {value} is {abs(value - ref) / stderr:.1f} standard errors from {ref}"
     return ""
@@ -363,21 +372,18 @@ def _arc_set(rng, count: int, q: int) -> list[list[float]]:
     return [arcs[i] for i in order]
 
 
-def arc_cycles(seed: int, n_cycles: int, workdir: Path) -> list[list[Request]]:
+def arc_cycles(seed: int, workdir: Path) -> Iterator[list[Request]]:
     """Circle sets with the arc counts of ARC_CYCLE, one of each per cycle."""
     rng = np.random.default_rng([seed, 3])
-    cycles = []
-    for _ in range(n_cycles):
+    while True:
         cycle = []
         for j in rng.permutation(len(ARC_CYCLE)):
             count, q = ARC_CYCLE[j]
             arcs = _arc_set(rng, count, q)
             text = json.dumps(arcs)
             cycle.append(Request(kind="arcs", key=text, payload=text,
-                                 tags={"arcs": count, "symmetry": q},
-                                 expect={"measure": _union_length(arcs), "symmetry": q}))
-        cycles.append(cycle)
-    return cycles
+                                 tags={"arcs": count, "symmetry": q}, expect={"symmetry": q}))
+        yield cycle
 
 
 def arc_warmup(workdir: Path) -> list[Request]:
@@ -426,8 +432,9 @@ def check_arcs(req: Request, out: Outcome) -> str:
     if not isinstance(r, dict):
         return "no result"
     m = r["measure"]
-    if abs(m - req.expect["measure"]) > IDENTITY_TOL:
-        return f"measure {m}, independent union length {req.expect['measure']}"
+    union = _union_length(json.loads(req.payload))
+    if abs(m - union) > IDENTITY_TOL:
+        return f"measure {m}, independent union length {union}"
     if abs(r["mean"] - m * m) > IDENTITY_TOL:
         return f"averaging identity off by {abs(r['mean'] - m * m):.3e}"
     if not r["max"][1] - m * m > IDENTITY_TOL:
@@ -449,13 +456,12 @@ def check_arcs(req: Request, out: Outcome) -> str:
 # -- render_requests ----------------------------------------------------------------
 
 
-def render_cycles(seed: int, n_cycles: int, workdir: Path) -> list[list[Request]]:
+def render_cycles(seed: int, workdir: Path) -> Iterator[list[Request]]:
     """``yy render``: golden presets and configs (repeating), other presets,
     evolution phases, and random configurations with parts 2-6, turn up to 8
     and varied sampling step."""
     rng = np.random.default_rng([seed, 4])
-    cycles = []
-    for i in range(n_cycles):
+    for i in itertools.count():
         cycle = []
         for j in rng.permutation(len(RENDER_CYCLE)):
             slot = RENDER_CYCLE[j]
@@ -481,8 +487,7 @@ def render_cycles(seed: int, n_cycles: int, workdir: Path) -> list[list[Request]
                 expect = {"parts": parts, "evolution": slot == "evolution"}
             cycle.append(Request(kind="cli", key=" ".join(argv), argv=tuple(argv),
                                  out_name="symbol.svg", tags=tags, expect=expect))
-        cycles.append(cycle)
-    return cycles
+        yield cycle
 
 
 def render_warmup(workdir: Path) -> list[Request]:
@@ -536,22 +541,22 @@ GENERATORS = {
     "render_requests": (render_cycles, render_warmup),
 }
 
-# Cycles generated per run: several times what a run at the seed code's
-# speed completes, so a faster program still sees fresh inputs.
-CYCLES = {"verify_requests": 24, "oracle_requests": 60, "arc_algebra": 30, "render_requests": 1500}
+
+def take(workload: str, seed: int, n_cycles: int, workdir: Path) -> list[list[Request]]:
+    """The first `n_cycles` cycles of a workload's generator."""
+    generate, _ = GENERATORS[workload]
+    return list(itertools.islice(generate(seed, workdir), n_cycles))
 
 
-def input_properties(workload: str, cycles: list[list[Request]], used: int) -> dict:
-    """Measured properties of the first `used` requests of a run."""
-    reqs = [r for cycle in cycles for r in cycle]
-    run = [reqs[i % len(reqs)] for i in range(used)]
+def input_properties(workload: str, run: list[Request]) -> dict:
+    """Measured properties of the requests a run executed."""
+    used = len(run)
     seen: set[str] = set()
     repeats = 0
     for r in run:
         repeats += r.key in seen
         seen.add(r.key)
-    props: dict = {"requests": used, "cycle_length": len(cycles[0]),
-                   "repeat_share": repeats / used if used else 0.0}
+    props: dict = {"requests": used, "repeat_share": repeats / used if used else 0.0}
 
     def shares(tag: str) -> dict:
         values = [str(r.tags.get(tag)) for r in run]
@@ -572,5 +577,4 @@ def input_properties(workload: str, cycles: list[list[Request]], used: int) -> d
     if workload == "render_requests":
         props["kind_share"] = shares("render")
         props["parts_share"] = shares("parts")
-    props["generated_requests"] = len(reqs)
     return props

@@ -151,20 +151,15 @@ class CircleSet:
         return CircleSet(arcs=tuple(Arc(a, b - a) for a, b in _merge(out)))
 
     def complement(self) -> "CircleSet":
-        bounds = self._bounds()
-        if not bounds:
-            return CircleSet.full()
-        out = [(b, a) for (_, b), (a, _) in zip(bounds, bounds[1:]) if a - b > EPS]
-        # The gap across the wrap point is one gap on the circle, stored as a
-        # head piece [0, first start) and a tail piece [last end, 1): keep
-        # both pieces, however short, when together they exceed EPS.
-        head, tail = bounds[0][0], bounds[-1][1]
-        if head + (1.0 - tail) > EPS:
-            if head > 0.0:
-                out.insert(0, (0.0, head))
-            if tail < 1.0:
-                out.append((tail, 1.0))
-        return CircleSet(arcs=tuple(Arc(a, b - a) for a, b in out))
+        out = []
+        prev = 0.0
+        for a, b in self._bounds():
+            if a - prev > EPS:
+                out.append((prev, a))
+            prev = b
+        if 1.0 - prev > EPS:
+            out.append((prev, 1.0))
+        return CircleSet(arcs=tuple(Arc(a, b - a) for a, b in _merge(out)))
 
     def translate(self, h: float) -> "CircleSet":
         h = mod1(float(h))
