@@ -5,6 +5,10 @@
 
 Run from the root of a checkout; the package is imported from ./src.
 With --trace 0 the run measures the end-to-end metrics with tracing off.
+Between requests it times a fixed calibration loop that touches nothing of
+the package, and it scales each request's time to a fixed calibration time
+(see Calibration), so the figures follow the program rather than how fast
+the shared host happened to run at the time.
 With --trace 1 every request runs twice, once untraced and once with spans
 around the package's public functions (alternating which goes first); the
 run reports the per-layer metrics and the tracing overhead, and writes the
@@ -24,9 +28,11 @@ for _var in THREAD_VARS:
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
+import bisect  # noqa: E402
 import contextlib  # noqa: E402
 import hashlib  # noqa: E402
 import importlib  # noqa: E402
+import itertools  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
 import resource  # noqa: E402
@@ -37,6 +43,8 @@ import time  # noqa: E402
 import traceback  # noqa: E402
 from pathlib import Path  # noqa: E402
 
+import numpy as np  # noqa: E402
+
 ROOT = Path(__file__).resolve().parent.parent
 OUT = ROOT / "perfbench" / "out"
 sys.path.insert(0, str(ROOT))
@@ -44,6 +52,8 @@ sys.path.insert(0, str(ROOT))
 from perfbench import tracing, workloads as W  # noqa: E402
 
 SETUP_REPEATS = 5
+CALIBRATION_EVERY_S = 0.2         # wall time between calibration loops
+CALIBRATION_REFERENCE_S = 0.005   # calibration time the end-to-end times are scaled to
 UNATTRIBUTED_LIMIT = 0.05  # share of traced request time outside every layer span
 END_TO_END_UNITS = {"throughput_rps": "1/s", "latency_p50_ms": "ms", "latency_tail_ms": "ms",
                     "setup_s": "s", "peak_rss_mb": "MB"}
@@ -89,6 +99,53 @@ def environment() -> dict:
         "source_sha256": digest.hexdigest()[:16],
         "threads": {v: os.environ[v] for v in THREAD_VARS},
     }
+
+
+# -- calibration -----------------------------------------------------------------
+
+
+class Calibration:
+    """Times of a fixed loop of Python and numpy work, run between requests.
+
+    The shared host runs this process at speeds that differ by up to half
+    for minutes at a time, and every request's time moves with it.  The
+    loop touches nothing of the package, so its time follows the host
+    alone; scaling a request's time by CALIBRATION_REFERENCE_S over the
+    loop's time around the request gives the time the request would take
+    on a host that runs the loop in CALIBRATION_REFERENCE_S.  The loop runs
+    outside every timed request, at most every CALIBRATION_EVERY_S.
+    """
+
+    def __init__(self):
+        self._array = np.random.default_rng(0).random(50_000)
+        self.ends: list[float] = []    # when each loop ended
+        self.times: list[float] = []   # seconds each loop took
+
+    def _loop(self) -> int:
+        total = 0
+        for i in range(30_000):
+            total += i * i % 7
+        for _ in range(3):
+            x = np.mod(self._array * 3.1 + 0.2, 1.0)
+            np.maximum(x, 0.3, out=x)
+        return total
+
+    def run(self, force: bool = False) -> None:
+        """Time the loop, unless it ran less than CALIBRATION_EVERY_S ago."""
+        start = time.perf_counter()
+        if not force and self.ends and start - self.ends[-1] < CALIBRATION_EVERY_S:
+            return
+        self._loop()
+        end = time.perf_counter()
+        self.ends.append(end)
+        self.times.append(end - start)
+
+    def scale(self, start: float, end: float) -> float:
+        """Reference time over the mean of the loops just before `start` and just after `end`."""
+        near = [self.times[k] for k in (bisect.bisect_right(self.ends, start) - 1,
+                                        bisect.bisect_left(self.ends, end))
+                if 0 <= k < len(self.times)]
+        return CALIBRATION_REFERENCE_S / statistics.fmean(near)
 
 
 # -- set-up ----------------------------------------------------------------------
@@ -160,8 +217,11 @@ class Context:
             return W.check_arcs(req, out)
         return W.check_render(req, out, self.golden)
 
-    def run_one(self, req: W.Request, tracer: tracing.Tracer | None = None) -> tuple[float, W.Outcome, str]:
-        """Execute and time one request (traced when a tracer is given), then collect and check it."""
+    def run_one(self, req: W.Request, tracer: tracing.Tracer | None = None) -> tuple[float, float, W.Outcome, str]:
+        """Execute and time one request (traced when a tracer is given), then collect and check it.
+
+        Returns the start time, the elapsed time, the outcome and the reason it failed.
+        """
         result, error = None, ""
         if tracer is not None:
             tracer.install()
@@ -181,17 +241,19 @@ class Context:
             reason = self.check(req, out)
         except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
             reason = f"malformed output: {exc!r}"
-        return elapsed, out, reason
+        return start, elapsed, out, reason
 
 
-def set_up(workload: str, seed: int) -> tuple[Context, float]:
-    """SETUP_REPEATS set-ups back to back: the last context and the median time."""
+def set_up(workload: str, seed: int, calibration: Calibration) -> tuple[Context, float]:
+    """SETUP_REPEATS set-ups back to back: the last context and the median scaled time."""
     times = []
     for _ in range(SETUP_REPEATS):
+        calibration.run(force=True)
         start = time.perf_counter()
         ctx = Context(workload, seed)
-        times.append(time.perf_counter() - start)
-    return ctx, statistics.median(times)
+        times.append((start, time.perf_counter() - start))
+    calibration.run(force=True)
+    return ctx, statistics.median(elapsed * calibration.scale(start, start + elapsed) for start, elapsed in times)
 
 
 # -- measurement ---------------------------------------------------------------------
@@ -213,40 +275,53 @@ def tail(latencies: list[float]) -> tuple[float, float, int]:
 class Tally:
     def __init__(self):
         self.requests: list[W.Request] = []
+        self.cycles: list[int] = []
+        self.starts: list[float] = []
         self.latencies: list[float] = []
         self.failures: list[str] = []
         self.output_bytes = 0
 
-    def add(self, req: W.Request, elapsed: float, out: W.Outcome, reason: str) -> None:
+    def add(self, cycle: int, req: W.Request, start: float, elapsed: float, out: W.Outcome, reason: str) -> None:
         self.requests.append(req)
+        self.cycles.append(cycle)
+        self.starts.append(start)
         self.latencies.append(elapsed)
         self.output_bytes += sum(len(b) for b in out.files.values())
         if reason:
             self.failures.append(f"{req.argv or req.tags}: {reason}")
 
+    def scaled(self, calibration: Calibration, cycles: int) -> list[float]:
+        """Times of the requests of the first `cycles` cycles, scaled to the reference calibration."""
+        return [elapsed * calibration.scale(start, start + elapsed)
+                for cycle, start, elapsed in zip(self.cycles, self.starts, self.latencies) if cycle < cycles]
 
-def measure(ctx: Context, seconds: float, tracer: tracing.Tracer | None = None) -> tuple[Tally, Tally, int]:
-    """Whole cycles, closed loop, until `seconds` of wall time have passed.
 
-    With a tracer every request runs twice, untraced and traced, alternating
-    which goes first; the second tally holds the traced runs.
+def measure(ctx: Context, seconds: float, calibration: Calibration,
+            tracer: tracing.Tracer | None = None) -> tuple[Tally, Tally, int]:
+    """Closed loop until `seconds` of wall time have passed and MIN_CYCLES cycles are done.
+
+    Returns the tallies and the number of whole cycles completed.  With a
+    tracer every request runs twice, untraced and traced, alternating which
+    goes first; the second tally holds the traced runs.
     """
     plain, traced = Tally(), Tally()
-    done = 0
+    least = W.MIN_CYCLES[ctx.workload]
     start = time.perf_counter()
-    while done == 0 or time.perf_counter() - start < seconds:
-        for req in ctx.cycle(done):
+    for cycle in itertools.count():
+        for req in ctx.cycle(cycle):
+            if cycle >= least and time.perf_counter() - start >= seconds:
+                calibration.run(force=True)
+                return plain, traced, cycle
+            calibration.run()
             if tracer is None:
-                plain.add(req, *ctx.run_one(req))
+                plain.add(cycle, req, *ctx.run_one(req))
                 continue
             tracer.request_id = rid = tracer.request_id + 1
             for traced_turn in ((False, True) if rid % 2 == 0 else (True, False)):
                 if traced_turn:
-                    traced.add(req, *ctx.run_one(req, tracer))
+                    traced.add(cycle, req, *ctx.run_one(req, tracer))
                 else:
-                    plain.add(req, *ctx.run_one(req))
-        done += 1
-    return plain, traced, done
+                    plain.add(cycle, req, *ctx.run_one(req))
 
 
 # -- reporting -----------------------------------------------------------------------
@@ -259,11 +334,12 @@ def _print_metric(workload: str, name: str, value: float, unit: str, note: str =
 def run_workload(workload: str, seed: int, seconds: float, trace: bool) -> dict:
     print(f"# env {json.dumps(environment(), sort_keys=True)}")
     tracer = tracing.Tracer() if trace else None
+    calibration = Calibration()
     sink = open(os.devnull, "w")  # the CLI reports written files on stderr
     try:
         with contextlib.redirect_stderr(sink):
-            ctx, setup_s = set_up(workload, seed)
-            tally, traced, cycles = measure(ctx, seconds, tracer)
+            ctx, setup_s = set_up(workload, seed, calibration)
+            tally, traced, cycles = measure(ctx, seconds, calibration, tracer)
     finally:
         sink.close()
     n = len(tally.latencies)
@@ -278,17 +354,26 @@ def run_workload(workload: str, seed: int, seconds: float, trace: bool) -> dict:
     print(f"{workload:<16} {'failed_ratio':<46} {len(failures) / attempted!r:>24} ratio  "
           f"({len(failures)} of {attempted} requests)")
     if not trace:
-        value, pct, beyond = tail(tally.latencies)
+        whole = cycles // W.PERIODS[workload] * W.PERIODS[workload]
+        scaled = tally.scaled(calibration, whole)
+        ns = len(scaled)
+        value, pct, beyond = tail(scaled)
         metrics = {
-            "throughput_rps": n / sum(tally.latencies),
-            "latency_p50_ms": statistics.median(tally.latencies) * 1e3,
+            "throughput_rps": ns / sum(scaled),
+            "latency_p50_ms": statistics.median(scaled) * 1e3,
             "latency_tail_ms": value * 1e3,
             "setup_s": setup_s,
             "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
         }
-        notes = {"latency_tail_ms": f"(p{pct:.4g} of {n} samples, {beyond} beyond)",
-                 "setup_s": f"(median of {SETUP_REPEATS} set-ups back to back)",
-                 "throughput_rps": f"({n} requests, {cycles} whole cycles, service time only)"}
+        loops = calibration.times
+        print(f"# unscaled: {n} requests in {sum(tally.latencies)!r} s of service time, "
+              f"{n / sum(tally.latencies)!r} 1/s, p50 {statistics.median(tally.latencies) * 1e3!r} ms, "
+              f"tail {tail(tally.latencies)[0] * 1e3!r} ms; calibration loop median "
+              f"{statistics.median(loops) * 1e3!r} ms over {len(loops)} runs, reference "
+              f"{CALIBRATION_REFERENCE_S * 1e3!r} ms")
+        notes = {"latency_tail_ms": f"(p{pct:.4g} of {ns} samples, {beyond} beyond)",
+                 "setup_s": f"(median of {SETUP_REPEATS} set-ups back to back, scaled)",
+                 "throughput_rps": f"({ns} requests of {whole} whole cycles, service time only)"}
         for name, value in metrics.items():
             _print_metric(workload, name, value, END_TO_END_UNITS[name], notes.get(name, ""))
         return {"correct": correct, "attempted": attempted, "failed": len(failures),

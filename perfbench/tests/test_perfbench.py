@@ -50,8 +50,33 @@ def test_cycles_keep_their_mix_across_seeds(tmp_path):
     assert mix(1) == mix(2)
     requests = [r for c in W.take("verify_requests", 1, 4, tmp_path / "p") for r in c]
     props = W.input_properties("verify_requests", requests)
-    assert props["q_max_share"] == 0.25
+    assert props["q_max_share"] == 0.2
     assert props["repeat_share"] == 0.0
+
+
+def test_request_time_is_scaled_by_calibration_around_it():
+    calibration = run.Calibration()
+    calibration.ends, calibration.times = [1.0, 2.0, 3.0], [0.010, 0.005, 0.020]
+    ref = run.CALIBRATION_REFERENCE_S
+    # loops that ended at 1.0 (before the start) and 2.0 (after the end)
+    assert calibration.scale(1.2, 1.5) == pytest.approx(ref / 0.0075)
+    # a request spanning a loop is scaled by the loops on either side of it
+    assert calibration.scale(1.2, 2.5) == pytest.approx(ref / 0.015)
+    assert calibration.scale(3.5, 3.6) == pytest.approx(ref / 0.020)
+    tally = run.Tally()
+    for cycle, start, elapsed in [(0, 1.2, 0.3), (1, 2.1, 0.4), (2, 2.6, 0.1)]:
+        tally.add(cycle, W.Request(kind="arcs", key="", cls="", tags={}), start, elapsed, W.Outcome(), "")
+    assert tally.scaled(calibration, 2) == pytest.approx([0.3 * ref / 0.0075, 0.4 * ref / 0.0125])
+
+
+@pytest.mark.parametrize("workload", W.WORKLOADS)
+def test_mix_of_classes_repeats_every_period(workload, tmp_path):
+    period = W.PERIODS[workload]
+    cycles = W.take(workload, 4, 2 * period, tmp_path)
+    first = sorted(r.cls for c in cycles[:period] for r in c)
+    assert first == sorted(r.cls for c in cycles[period:] for r in c)
+    other = W.take(workload, 9, period, tmp_path / "other")
+    assert first == sorted(r.cls for c in other for r in c)
 
 
 @pytest.mark.parametrize("trace, section", [("0", "end_to_end"), ("1", "per_layer")])

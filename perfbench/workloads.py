@@ -3,10 +3,18 @@
 Each workload is a list of *cycles*.  A cycle is a fixed mix of request
 kinds (family, smoothness order, ``--q-max``, arc count, render kind); the
 seed only draws the parameters inside each kind and the order inside the
-cycle.  Timing statistics are taken over whole cycles, so every seed
-measures the same mix and the figures compare across seeds.  A generator
-yields cycles one at a time from one seeded stream, so a run draws only
-the cycles it executes and the same seed always gives the same sequence.
+cycle.  Some kinds rotate from cycle to cycle, so the mix repeats exactly
+every ``PERIODS[workload]`` cycles; timing statistics are taken over whole
+periods, so every seed measures the same mix and the figures compare across
+seeds.  A generator yields cycles one at a time from one seeded stream, so
+a run draws only the cycles it executes and the same seed always gives the
+same sequence.
+
+Every request names its *cost class* (``Request.cls``): requests of one
+class do about the same work on different numbers (an arc set of the same
+size, a render with the same part count and sampling step, a verify spec
+of the same family and order).  A workload's mix is the number of
+requests of each class in a period.
 
 The program under test receives only generated argv lists and JSON files:
 the ``verify``, ``oracle`` and ``render`` requests go through
@@ -42,19 +50,34 @@ FERMAT_SPECS = tuple((t, p) for t in (1.0, 1.5, 2.0) for p in (2, 3, 4))
 # Arc counts of one arc-algebra cycle; (count, q) with q > 1 marks a set
 # that is a q-fold repeated motif, so its rotation-invariant parts are not
 # empty.  Five 8-arc sets hold the median, so it is the middle of many
-# samples of one kind; the 24-, 28- and 32-arc sets cost alike and hold the
-# ten slowest of a run.
+# samples of one kind; the 32-arc set, about half of a cycle's time, holds
+# the ten slowest of a run, since a run lasts at least MIN_CYCLES cycles.
 ARC_CYCLE = ((1, 1), (2, 1), (3, 1), (4, 2), (6, 3), *[(8, 1)] * 5, (12, 1), (16, 1), (20, 1),
-             (24, 1), (28, 1), (32, 2))
+             (32, 4))
 
 # Render kinds of one cycle.  The first three reproduce tests/golden/*.svg.
+# A "random" slot draws turn, rotation and mirroring; its part count is the
+# slot's and its sampling step 1/n rotates through RENDER_STEPS from cycle to
+# cycle (None: the default step, 1/(16 turn) at turn 8).  The evolution
+# slot's part count rotates through 2-6.
 GOLDEN_RENDERS = {
     "classic": ("render", "--preset", "classic"),
     "britannica": ("render", "--preset", "britannica"),
     "threepart": ("render", "--parts", "3"),
 }
 RENDER_CYCLE = ("classic", "britannica", "threepart", "preset", "evolution",
-                "random", "random", "random", "random", "random")
+                "random2", "random3", "random4", "random5", "random6")
+RENDER_STEPS = (8, 16, 32, 64, None)
+
+# Cycles after which a workload's mix of cost classes repeats exactly, and
+# the cycles a run completes at least, so that the eleven slowest requests
+# of a run, where the tail is read, stay in one kind of request: 32-arc
+# sets (one a cycle), ck requests of order 2 and 3 (two an oracle cycle).
+# A run holds four or five verify cycles; taking its figures over whole
+# periods of four keeps them to twenty requests, so its median and tail
+# (p50) read the same ranks in every run.
+PERIODS = {"verify_requests": 4, "oracle_requests": 2, "arc_algebra": 1, "render_requests": 10}
+MIN_CYCLES = {"verify_requests": 4, "oracle_requests": 6, "arc_algebra": 11, "render_requests": 10}
 
 
 @dataclass
@@ -63,6 +86,7 @@ class Request:
 
     kind: str               # "cli" or "arcs"
     key: str                # identity of the input, for the repeat share
+    cls: str                # cost class: requests doing the same work
     tags: dict              # input properties (family, parts, arc count, ...)
     argv: tuple = ()        # cli requests: argv without the output flag
     out_name: str = ""      # cli requests: output file name inside the work dir
@@ -166,11 +190,16 @@ def _custom(rng, tables: _Tables, parts: int, kind: str) -> tuple[list[str], boo
 def verify_cycles(seed: int, workdir: Path) -> Iterator[list[Request]]:
     """``yy verify`` at the CLI defaults over all four families.
 
-    Every cycle holds one request of each family.  The ck order k is the
-    cycle index mod 4 and the family carrying ``--q-max 6`` is the cycle
-    index mod 4, so four cycles hold each k and each --q-max family once.
-    The fermat family has nine specs (turns 1, 1.5, 2 by parts 2-4); they
-    are dealt in seeded permutations, so specs repeat only after nine cycles.
+    Every cycle holds one fermat, one sine, one ck and two custom requests,
+    and the sine request carries ``--q-max 6``.  Custom requests cost about
+    as much as fermat ones and less than ck and q-max sine ones, so the
+    median and the tail of four cycles (the tenth and eleventh of twenty
+    requests) fall among the twelve fermat and custom requests.  The ck order k
+    alternates between 0 and 1; ck orders 2 and 3, whose powers take
+    numpy's general routine and double a request's cost, are left to
+    oracle_requests.  The fermat family has nine specs (turns 1,
+    1.5, 2 by parts 2-4); they are dealt in seeded permutations, so specs
+    repeat only after nine cycles.
     """
     rng = np.random.default_rng([seed, 1])
     tables = _Tables(workdir / "inputs" / "verify")
@@ -185,24 +214,26 @@ def verify_cycles(seed: int, workdir: Path) -> Iterator[list[Request]]:
         lam = float(rng.uniform(0.02, 0.23))
         slots.append((["--family", "sine", "--lambda", repr(lam), "--parts", str(parts)],
                       parts == 2, {"family": "sine", "parts": parts}))
-        k = i % 4
+        k = i % 2
         parts = int(rng.integers(2, 5))
         lam = float(rng.uniform(0.2, 0.9) * CK_LAMBDA_MAX[k])
         slots.append((["--family", "ck", "--lambda", repr(lam), "--k", str(k), "--parts", str(parts)],
                       parts == 2, {"family": "ck", "k": k, "parts": parts}))
-        kind = str(rng.choice(["quarter", "linear", "power"]))
-        parts = 2 if kind == "quarter" else int(rng.integers(2, 5))
-        flags, balanced, tags, _ = _custom(rng, tables, parts, kind)
-        slots.append((flags, balanced, tags))
+        for _ in range(2):
+            kind = str(rng.choice(["quarter", "linear", "power"]))
+            parts = 2 if kind == "quarter" else int(rng.integers(2, 5))
+            flags, balanced, tags, _ = _custom(rng, tables, parts, kind)
+            slots.append((flags, balanced, tags))
         cycle = []
-        for j in rng.permutation(4):
+        for j in rng.permutation(len(slots)):
             flags, balanced, tags = slots[j]
-            q_max = bool(j == i % 4)
+            q_max = tags["family"] == "sine"
             argv = ["verify", *flags, "--axioms", VERIFY_AXIOMS, "--seed", str(i)]
             if q_max:
                 argv += ["--q-max", str(Q_MAX)]
+            cls = tags["family"] + (str(tags["k"]) if "k" in tags else "") + (" q-max" if q_max else "")
             cycle.append(Request(
-                kind="cli", key=json.dumps(flags), argv=tuple(argv), out_name="report.json",
+                kind="cli", key=json.dumps(flags), cls=cls, argv=tuple(argv), out_name="report.json",
                 tags={**tags, "q_max": q_max},
                 expect={"a4": balanced, "parts": tags["parts"], "family": tags["family"],
                         "q_max": q_max},
@@ -219,7 +250,7 @@ def _warmup_flags(workdir: Path) -> list[list[str]]:
 
 
 def verify_warmup(workdir: Path) -> list[Request]:
-    return [Request(kind="cli", key="warmup", tags={}, out_name="report.json",
+    return [Request(kind="cli", key="warmup", cls="warmup", tags={}, out_name="report.json",
                     argv=("verify", *f, "--g-grid", "8", "--v-quad", "101", "--q-max", "2"))
             for f in _warmup_flags(workdir)]
 
@@ -260,9 +291,10 @@ def check_verify(req: Request, out: Outcome) -> str:
 # -- oracle_requests ------------------------------------------------------------
 
 # One oracle cycle.  A ck request with k >= 2 costs about 80 fermat ones:
-# two per cycle keep the slowest ten of a run inside that kind, and eight
-# fermat requests keep the median inside the fermat kind.
-ORACLE_CYCLE = ("fermat",) * 8 + ("custom", "sine", "ck_low", "ck_high", "ck_high")
+# two per cycle (k = 2 and k = 3) keep the slowest ten of a run inside that
+# kind, and eight fermat requests keep the median inside the fermat kind.
+# The low-order ck request alternates k = 0 and k = 1 between cycles.
+ORACLE_CYCLE = ("fermat",) * 8 + ("custom", "sine", "ck_low", "ck2", "ck3")
 
 
 def oracle_cycles(seed: int, workdir: Path) -> Iterator[list[Request]]:
@@ -275,7 +307,7 @@ def oracle_cycles(seed: int, workdir: Path) -> Iterator[list[Request]]:
     """
     rng = np.random.default_rng([seed, 2])
     tables = _Tables(workdir / "inputs" / "oracle")
-    while True:
+    for i in itertools.count():
         cycle = []
         for j in rng.permutation(len(ORACLE_CYCLE)):
             slot = ORACLE_CYCLE[j]
@@ -297,7 +329,7 @@ def oracle_cycles(seed: int, workdir: Path) -> Iterator[list[Request]]:
                 tags, balanced = {"family": "sine", "parts": 2}, True
             else:
                 parts = 2
-                k = int(rng.integers(0, 2)) if slot == "ck_low" else int(rng.integers(2, 4))
+                k = i % 2 if slot == "ck_low" else int(slot[2])
                 lam = float(rng.uniform(0.2, 0.9) * CK_LAMBDA_MAX[k])
                 flags = ["--family", "ck", "--lambda", repr(lam), "--k", str(k)]
                 tags, balanced = {"family": "ck", "k": k, "parts": 2}, True
@@ -307,13 +339,14 @@ def oracle_cycles(seed: int, workdir: Path) -> Iterator[list[Request]]:
             mc_seed = int(rng.integers(0, 2**31))
             argv = ("oracle", *flags, "--g", repr(g), "--mc-samples", str(ORACLE_SAMPLES),
                     "--seed", str(mc_seed))
-            cycle.append(Request(kind="cli", key=" ".join(argv), argv=argv, out_name="estimate.json",
+            cls = tags["family"] + (str(tags["k"]) if "k" in tags else "")
+            cycle.append(Request(kind="cli", key=" ".join(argv), cls=cls, argv=argv, out_name="estimate.json",
                                  tags={**tags, "balanced": balanced}, expect=expect))
         yield cycle
 
 
 def oracle_warmup(workdir: Path) -> list[Request]:
-    return [Request(kind="cli", key="warmup", tags={}, out_name="estimate.json",
+    return [Request(kind="cli", key="warmup", cls="warmup", tags={}, out_name="estimate.json",
                     argv=("oracle", *f, "--g", "0.3", "--mc-samples", "1000"))
             for f in _warmup_flags(workdir)]
 
@@ -381,7 +414,7 @@ def arc_cycles(seed: int, workdir: Path) -> Iterator[list[Request]]:
             count, q = ARC_CYCLE[j]
             arcs = _arc_set(rng, count, q)
             text = json.dumps(arcs)
-            cycle.append(Request(kind="arcs", key=text, payload=text,
+            cycle.append(Request(kind="arcs", key=text, cls=f"{count} arcs {q}-fold", payload=text,
                                  tags={"arcs": count, "symmetry": q}, expect={"symmetry": q}))
         yield cycle
 
@@ -389,7 +422,7 @@ def arc_cycles(seed: int, workdir: Path) -> Iterator[list[Request]]:
 def arc_warmup(workdir: Path) -> list[Request]:
     rng = np.random.default_rng(0)
     text = json.dumps(_arc_set(rng, 4, 2))
-    return [Request(kind="arcs", key="warmup", payload=text, tags={})]
+    return [Request(kind="arcs", key="warmup", cls="warmup", payload=text, tags={})]
 
 
 def _union_length(arcs: list[list[float]]) -> float:
@@ -459,7 +492,7 @@ def check_arcs(req: Request, out: Outcome) -> str:
 def render_cycles(seed: int, workdir: Path) -> Iterator[list[Request]]:
     """``yy render``: golden presets and configs (repeating), other presets,
     evolution phases, and random configurations with parts 2-6, turn up to 8
-    and varied sampling step."""
+    and varied sampling step (see RENDER_CYCLE)."""
     rng = np.random.default_rng([seed, 4])
     for i in itertools.count():
         cycle = []
@@ -467,25 +500,31 @@ def render_cycles(seed: int, workdir: Path) -> Iterator[list[Request]]:
             slot = RENDER_CYCLE[j]
             if slot in GOLDEN_RENDERS:
                 argv, tags = GOLDEN_RENDERS[slot], {"render": "golden", "parts": 3 if slot == "threepart" else 2}
-                expect = {"golden": slot, "parts": tags["parts"]}
+                expect, cls = {"golden": slot, "parts": tags["parts"]}, slot
             elif slot == "preset":
-                name = ("chosun", "korea1882")[i % 2]
-                argv, tags = ("render", "--preset", name), {"render": "preset", "parts": 2}
+                cls = ("chosun", "korea1882")[i % 2]
+                argv, tags = ("render", "--preset", cls), {"render": "preset", "parts": 2}
                 expect = {"parts": 2}
             else:
-                parts = int(rng.integers(2, 7))
+                parts = 2 + i % 5 if slot == "evolution" else int(slot[-1])
                 flags = ["--parts", str(parts), "--rotate", repr(round(float(rng.uniform(-180, 180)), 3))]
                 if rng.random() < 0.5:
                     flags.append("--counterclockwise")
                 if slot == "evolution":
                     flags.append("--evolution")
+                    cls = f"evolution p{parts}"
                 else:
-                    flags += ["--turn", repr(round(float(rng.uniform(0.1, 8.0)), 4))]
-                    if rng.random() < 0.75:
-                        flags += ["--interpol", repr(float(1.0 / rng.integers(6, 65)))]
+                    step = RENDER_STEPS[(i + parts) % len(RENDER_STEPS)]
+                    if step is None:
+                        flags += ["--turn", "8"]
+                    else:
+                        flags += ["--turn", repr(round(float(rng.uniform(0.1, 8.0)), 4)),
+                                  "--interpol", repr(1.0 / step)]
+                    cls = f"random p{parts} step 1/{step or 128}"
+                    slot = "random"
                 argv, tags = ("render", *flags), {"render": slot, "parts": parts}
                 expect = {"parts": parts, "evolution": slot == "evolution"}
-            cycle.append(Request(kind="cli", key=" ".join(argv), argv=tuple(argv),
+            cycle.append(Request(kind="cli", key=" ".join(argv), cls=cls, argv=tuple(argv),
                                  out_name="symbol.svg", tags=tags, expect=expect))
         yield cycle
 
@@ -493,7 +532,8 @@ def render_cycles(seed: int, workdir: Path) -> Iterator[list[Request]]:
 def render_warmup(workdir: Path) -> list[Request]:
     argvs = [("render", "--preset", "classic"), ("render", "--parts", "4", "--turn", "3"),
              ("render", "--evolution", "--counterclockwise")]
-    return [Request(kind="cli", key="warmup", tags={}, argv=a, out_name="symbol.svg") for a in argvs]
+    return [Request(kind="cli", key="warmup", cls="warmup", tags={}, argv=a, out_name="symbol.svg")
+            for a in argvs]
 
 
 def render_output_names(req: Request) -> list[str]:
