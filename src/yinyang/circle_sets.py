@@ -381,7 +381,8 @@ def arc_reflection_overlap_into(
     ``neg_base`` must hold -(2*start + length) for the arc starts; the
     overlap at axis g is then max(0, |((g + neg_base) mod 1) - 1/2| + length - 1/2),
     which agrees with the two-term closed form whenever length <= 1/2.
-    Intended for quadrature loops that sweep g over many arcs at once.
+    One call evaluates one axis g over many arcs; the tests sum it over
+    every axis as the reference for the sorted sweep of ``perfect_profile``.
     """
     if length > 0.5:
         raise ValueError(f"kernel requires arc length <= 1/2, got {length}")

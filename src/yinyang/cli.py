@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 verification failure, 2 flag/usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -84,6 +85,11 @@ def _parse_axioms(text: str) -> tuple[str, ...]:
     return tuple(out)
 
 
+def _dumps(doc: dict) -> str:
+    """A report as strict JSON: a NaN or infinity raises instead of printing."""
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
+
 def _emit(text: str, out: Path | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -106,7 +112,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         rc = rotation_check(spec, q_max=args.q_max)
         doc["rotation"] = rc.to_json()
         ok = ok and rc.passed
-    _emit(json.dumps(doc, indent=2) + "\n", args.out)
+    _emit(_dumps(doc), args.out)
     return 0 if ok else 1
 
 
@@ -115,7 +121,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     est = monte_carlo_overlap(spec, g=args.g, samples=args.mc_samples, seed=args.seed)
     doc = {"version": 1, "tool_version": __version__, "spec": spec.to_json()}
     doc.update(est.to_json())
-    _emit(json.dumps(doc, indent=2) + "\n", args.out)
+    _emit(_dumps(doc), args.out)
     return 0
 
 
@@ -179,7 +185,7 @@ def _cmd_presets(args: argparse.Namespace) -> int:
                 for name, cfg in RENDER_PRESETS.items()
             },
         }
-        sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+        sys.stdout.write(_dumps(doc))
         return 0
     sys.stdout.write("curve presets:\n")
     for name, spec in CURVE_PRESETS.items():
@@ -254,10 +260,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # parse_args keeps no state on the parser, so one serves every call
+    return build_parser()
+
+
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse uses 2 for usage errors, 0 for --help
         return int(exc.code or 0)
     try:

@@ -273,29 +273,40 @@ def contains(spec: CurveSpec, p: DiskPoint) -> bool:
     return mod1(mod1(c.u) - t) < 1.0 / spec.parts
 
 
-def beta_polyline(spec: CurveSpec, n: int) -> list[DiskPoint]:
-    """Sample the symbol's boundary: n disk points per branch, all branches.
+def branch_polylines(spec: CurveSpec, n: int) -> np.ndarray:
+    """Polar samples of every branch: shape (parts, n, 2), rows (r, phi).
 
     Branch j is branch 0 rotated by 2 pi j / parts.  Points on branch 0 are
     taken at u = (i+1)/n * turns/2, so the last point sits on the disk rim.
+    The angle is not reduced modulo 2 pi.
     """
     if n < 2:
         raise ValueError(f"need at least 2 points per branch, got {n}")
     profile = spec.alpha_profile()
     u = (np.arange(1, n + 1) / n) * profile.domain_end
-    v = profile.evaluate(u)
-    r = np.sqrt(v / math.pi)
-    points = []
-    for j in range(spec.parts):
-        phi = 2.0 * math.pi * (u + j / spec.parts)
-        points.extend(DiskPoint(r=float(ri), phi=float(pi_)) for ri, pi_ in zip(r, phi))
-    return points
+    out = np.empty((spec.parts, n, 2))
+    out[:, :, 0] = np.sqrt(profile.evaluate(u) / math.pi)
+    out[:, :, 1] = 2.0 * math.pi * (u + (np.arange(spec.parts) / spec.parts)[:, None])
+    return out
 
 
-def polyline_turning_angles(points: Sequence[DiskPoint]) -> np.ndarray:
-    """Unsigned angles (radians) between consecutive chords of a polyline."""
-    xy = np.array([(p.r * math.cos(p.phi), p.r * math.sin(p.phi)) for p in points])
-    chords = np.diff(xy, axis=0)
+def beta_polyline(spec: CurveSpec, n: int) -> list[DiskPoint]:
+    """Sample the symbol's boundary: n disk points per branch, all branches.
+
+    The points of :func:`branch_polylines`, branch after branch.
+    """
+    return [DiskPoint(r=float(r), phi=float(phi))
+            for r, phi in branch_polylines(spec, n).reshape(-1, 2)]
+
+
+def polyline_turning_angles(polar: np.ndarray) -> np.ndarray:
+    """Unsigned angles (radians) between consecutive chords of a polyline.
+
+    ``polar`` is an (n, 2) array of (r, phi) vertices, as one branch of
+    :func:`branch_polylines`.
+    """
+    r, phi = polar[:, 0], polar[:, 1]
+    chords = np.diff(np.stack((r * np.cos(phi), r * np.sin(phi)), axis=1), axis=0)
     norms = np.linalg.norm(chords, axis=1)
     keep = norms > 1e-15
     chords = chords[keep]

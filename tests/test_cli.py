@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from yinyang import cli
 from yinyang.cli import run
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -97,6 +98,40 @@ def test_oracle_json(capsys):
     assert set(doc) >= {"value", "stderr", "samples", "seed", "g", "spec"}
     assert doc["samples"] == 50000
     assert abs(doc["value"] - 0.25) < 0.02
+
+
+@pytest.mark.parametrize("g", ["nan", "inf", "-inf", "NaN"])
+def test_oracle_non_finite_axis_exits_two(g, capsys):
+    code = run(["oracle", "--family", "fermat", f"--g={g}", "--mc-samples", "100"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "error:" in captured.err and "finite" in captured.err
+
+
+def test_reports_are_strict_json():
+    assert json.loads(cli._dumps({"value": 0.25})) == {"value": 0.25}
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            cli._dumps({"value": bad})
+
+
+def test_parser_is_reused_without_leaking_arguments(capsys):
+    assert cli._parser() is cli._parser()
+    assert run(["oracle", "--family", "fermat", "--g", "0.3", "--mc-samples", "100",
+                "--seed", "9"]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == 9
+    assert run(["oracle", "--family", "fermat", "--g", "0.3", "--mc-samples", "100"]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == 0
+    assert run(["oracle", "--family", "fermat"]) == 2  # --g is still required
+    assert "--g" in capsys.readouterr().err
+
+
+def test_help_exits_zero(capsys):
+    assert run(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: yy")
+    assert run(["verify", "--help"]) == 0
+    assert "--q-max" in capsys.readouterr().out
 
 
 def test_render_writes_svg(tmp_path):

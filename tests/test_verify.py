@@ -4,8 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from yinyang.circle_sets import CircleSet
-from yinyang.curves import CurveSpec, make_custom, make_fermat, make_sine_variant
+from yinyang.circle_sets import CircleSet, arc_reflection_overlap_into
+from yinyang.curves import (
+    CurveSpec,
+    beta_polyline,
+    make_custom,
+    make_fermat,
+    make_sine_variant,
+)
 from yinyang.verify import (
     AxiomVerdict,
     check_axioms,
@@ -16,6 +22,7 @@ from yinyang.verify import (
     reduced_rotations,
     relation_residual,
     rotation_check,
+    single_arc_invariant_measure,
     v_quadrature_rule,
 )
 
@@ -86,6 +93,65 @@ def test_profile_mean_matches_measure_squared():
     ):
         prof = perfect_profile(spec, **FAST)
         assert prof.mean == pytest.approx((1.0 / spec.parts) ** 2, abs=1e-7)
+
+
+def gxv_profile_values(spec, g_grid, v_quadrature):
+    """f(g) the slow way: one full pass over every fiber per axis (G x V)."""
+    length = 1.0 / spec.parts
+    nodes, w = v_quadrature_rule(v_quadrature)
+    neg_base = -(2.0 * spec.alpha_profile().inverse(nodes) + length)
+    buf = np.empty_like(nodes)
+    return np.array([
+        float(w @ arc_reflection_overlap_into(neg_base, length, g, buf))
+        for g in np.arange(g_grid) / g_grid
+    ])
+
+
+SWEEP_SPECS = [
+    CurveSpec(family="fermat", turns=1.0),
+    CurveSpec(family="fermat", turns=1.5),
+    CurveSpec(family="fermat", turns=2.0),
+    CurveSpec(family="fermat", turns=1.5, parts=3),
+    CurveSpec(family="fermat", turns=1.0, parts=4),
+    CurveSpec(family="fermat", turns=2.0, parts=5),
+    CurveSpec(family="sine", lam=0.2, parts=6),
+    CurveSpec(family="sine", lam=0.1),
+    CurveSpec(family="ck", lam=1.0, k=0),
+    CurveSpec(family="ck", lam=1.0, k=1, parts=3),
+    CurveSpec(family="ck", lam=1.0, k=2),
+    CurveSpec(family="ck", lam=1.0, k=3, parts=5),
+    CurveSpec(family="custom", samples=quad_table()),
+    CurveSpec(family="custom", samples=quad_table(), parts=4),
+]
+
+
+def _spec_id(spec):
+    k = "" if spec.k is None else f"-k{spec.k}"
+    return f"{spec.family}{k}-turns{spec.turns:g}-parts{spec.parts}"
+
+
+@pytest.mark.parametrize("spec", SWEEP_SPECS, ids=_spec_id)
+def test_sweep_matches_gxv_kernel(spec):
+    # 1e-12 is far inside the 1e-6 and 1e-4 A4 tolerances
+    for g_grid, v_quadrature in ((128, 20_001), (500, 5001)):
+        prof = perfect_profile(spec, g_grid=g_grid, v_quadrature=v_quadrature)
+        ref = gxv_profile_values(spec, g_grid, v_quadrature)
+        assert np.max(np.abs(prof.values - ref)) <= 1e-12
+
+
+def test_sweep_rounding_does_not_grow_with_v_nodes():
+    # a running sum over a million periodic Simpson weights drifts past 1e-12
+    spec = CurveSpec(family="fermat", turns=1.0, parts=3)
+    prof = perfect_profile(spec, g_grid=37, v_quadrature=1_000_000)
+    assert prof.v_nodes == 1_000_001
+    assert np.max(np.abs(prof.values - gxv_profile_values(spec, 37, 1_000_000))) <= 1e-12
+
+
+def test_sweep_axes_between_nodes_and_on_window_edges():
+    # with 2 parts and an even grid, every g +- 1/2 is another axis of the grid
+    for spec in (CurveSpec(family="fermat", turns=1.0), CurveSpec(family="fermat", turns=1.5)):
+        prof = perfect_profile(spec, g_grid=6, v_quadrature=3)
+        assert np.max(np.abs(prof.values - gxv_profile_values(spec, 6, 3))) <= 1e-12
 
 
 # -- relation residuals ----------------------------------------------------------
@@ -288,6 +354,32 @@ def test_rotation_fiber_full_circle_degenerate():
         assert w @ fibers == pytest.approx(1.0, abs=1e-12)
 
 
+def test_single_arc_invariant_measure_matches_circle_sets():
+    rng = np.random.default_rng(20261018)
+    lengths = np.concatenate([rng.uniform(0.0, 0.5, 20), rng.uniform(0.5, 1.0, 40)])
+    nonzero = 0
+    for start, length in zip(rng.random(len(lengths)), lengths):
+        arc = CircleSet.from_arcs([(float(start), float(length))])
+        for p, q in reduced_rotations(7):
+            expected = arc.rotation_invariant_part(p, q).measure()
+            assert single_arc_invariant_measure(float(length), q) == pytest.approx(expected, abs=1e-12)
+            nonzero += expected > 1e-9
+    assert nonzero >= 20  # long arcs keep a part, so the formula is really exercised
+
+
+def test_rotation_check_matches_slice_algebra():
+    # the closed form against the per-slice CircleSet integral it replaces
+    for spec in (CurveSpec(family="fermat", turns=1.5, parts=2), CurveSpec(family="sine", lam=0.1, parts=3)):
+        nodes, w = v_quadrature_rule(101)
+        slices = [CircleSet.from_arcs([(float(t) % 1.0, 1.0 / spec.parts)])
+                  for t in spec.alpha_profile().inverse(nodes)]
+        rc = rotation_check(spec, q_max=5)
+        for p, q in reduced_rotations(5):
+            fibers = np.array([s.rotation_invariant_part(p, q).measure() for s in slices])
+            assert rc.integrals[f"{p}/{q}"] == pytest.approx(float(w @ fibers), abs=1e-12)
+    assert "closed form, single-arc slices" in rc.to_json()["detail"]
+
+
 def test_rotation_check_validation():
     with pytest.raises(ValueError):
         rotation_check(CurveSpec(family="fermat", turns=1.0), q_max=1)
@@ -332,3 +424,40 @@ def test_oracle_agrees_with_quadrature_on_counterexample():
 def test_oracle_validation():
     with pytest.raises(ValueError):
         monte_carlo_overlap(CurveSpec(family="fermat"), g=0.1, samples=0, seed=1)
+
+
+def test_oracle_rejects_non_finite_axis():
+    for g in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            monte_carlo_overlap(CurveSpec(family="fermat"), g=g, samples=10, seed=1)
+
+
+# -- A5 polyline ------------------------------------------------------------------------------
+
+
+def _disk_point_turning_angles(points):
+    # the polyline as DiskPoint objects, chords in Cartesian coordinates
+    xy = np.array([(p.r * math.cos(p.phi), p.r * math.sin(p.phi)) for p in points])
+    chords = np.diff(xy, axis=0)
+    chords = chords[np.linalg.norm(chords, axis=1) > 1e-15]
+    dots = np.sum(chords[:-1] * chords[1:], axis=1)
+    cross = chords[:-1, 0] * chords[1:, 1] - chords[:-1, 1] * chords[1:, 0]
+    return np.abs(np.arctan2(cross, dots))
+
+
+@pytest.mark.parametrize("spec", [
+    CurveSpec(family="fermat", turns=1.0),
+    CurveSpec(family="fermat", turns=2.0, parts=5),
+    CurveSpec(family="sine", lam=0.2, parts=3),
+    CurveSpec(family="ck", lam=1.0, k=0, parts=6),
+    CurveSpec(family="custom", samples=quad_table()),
+], ids=_spec_id)
+def test_a5_max_angle_matches_disk_point_polyline(spec):
+    n = 512
+    points = beta_polyline(spec, n)
+    expected = max(
+        float(np.max(_disk_point_turning_angles(points[j * n : (j + 1) * n])))
+        for j in range(spec.parts)
+    )
+    report = check_axioms(spec, g_grid=8, v_quadrature=101, polyline_points=n)
+    assert report.axioms["A5"].witness == pytest.approx(expected, abs=1e-12)
