@@ -21,7 +21,6 @@ from .circle_sets import Arc, CircleSet, OverlapProfile
 from .curves import (
     AlphaProfile,
     CurveSpec,
-    alpha_inverse,
     beta_polyline,
     contains,
     make_ck_variant,
@@ -39,7 +38,7 @@ from .geometry import (
     reflect_u,
     rotate_u,
 )
-from .render import RenderConfig, SvgDocument, render, render_kpartite, spiral_points
+from .render import RenderConfig, SvgDocument, render, spiral_points
 from .verify import (
     OracleEstimate,
     VerifyReport,
@@ -58,7 +57,6 @@ __all__ = [
     "OverlapProfile",
     "AlphaProfile",
     "CurveSpec",
-    "alpha_inverse",
     "beta_polyline",
     "contains",
     "make_ck_variant",
@@ -76,7 +74,6 @@ __all__ = [
     "RenderConfig",
     "SvgDocument",
     "render",
-    "render_kpartite",
     "spiral_points",
     "OracleEstimate",
     "VerifyReport",

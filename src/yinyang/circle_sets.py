@@ -117,8 +117,12 @@ class CircleSet:
             if not isinstance(a, Arc):
                 a = Arc(*a)
             pieces.extend(_split_arc(a.start, a.length))
-        bounds = _merge(pieces)
-        return cls(arcs=tuple(Arc(a, b - a) for a, b in bounds))
+        return cls._from_pieces(pieces)
+
+    @classmethod
+    def _from_pieces(cls, pieces: Iterable[tuple[float, float]]) -> "CircleSet":
+        """Canonical set from linear pieces (a, b) with 0 <= a < b <= 1."""
+        return cls(arcs=tuple(Arc(a, b - a) for a, b in _merge(pieces)))
 
     @classmethod
     def from_json(cls, data: Sequence[Sequence[float]]) -> "CircleSet":
@@ -148,7 +152,7 @@ class CircleSet:
                 lo, hi = max(a1, a2), min(b1, b2)
                 if hi - lo > EPS:
                     out.append((lo, hi))
-        return CircleSet(arcs=tuple(Arc(a, b - a) for a, b in _merge(out)))
+        return CircleSet._from_pieces(out)
 
     def complement(self) -> "CircleSet":
         out = []
@@ -159,34 +163,28 @@ class CircleSet:
             prev = b
         if 1.0 - prev > EPS:
             out.append((prev, 1.0))
-        return CircleSet(arcs=tuple(Arc(a, b - a) for a, b in _merge(out)))
+        return CircleSet._from_pieces(out)
 
     def translate(self, h: float) -> "CircleSet":
         h = mod1(float(h))
         pieces = []
         for a, b in self._bounds():
             pieces.extend(_split_arc(a + h, b - a))
-        return CircleSet(arcs=tuple(Arc(a, b - a) for a, b in _merge(pieces)))
+        return CircleSet._from_pieces(pieces)
+
+    def _reflected_pieces(self, g: float) -> list[tuple[float, float]]:
+        # [a, b) reflects to (g-b, g-a]; the endpoint flip is measure zero
+        return [piece for a, b in self._bounds() for piece in _split_arc(g - b, b - a)]
 
     def reflect(self, g: float) -> "CircleSet":
         """The reflected set {g - x : x in S}."""
-        g = float(g)
-        pieces = []
-        for a, b in self._bounds():
-            # [a, b) reflects to (g-b, g-a]; the endpoint flip is measure zero
-            pieces.extend(_split_arc(g - b, b - a))
-        return CircleSet(arcs=tuple(Arc(a, b - a) for a, b in _merge(pieces)))
+        return CircleSet._from_pieces(self._reflected_pieces(float(g)))
 
     # -- reflection overlap -------------------------------------------------
 
     def reflection_overlap(self, g: float) -> float:
         """measure(S intersect (g - S)): the largest subset symmetric under x -> g-x."""
-        g = float(g)
-        reflected = _merge(
-            piece
-            for a, b in self._bounds()
-            for piece in _split_arc(g - b, b - a)
-        )
+        reflected = _merge(self._reflected_pieces(float(g)))
         total = 0.0
         for a1, b1 in self._bounds():
             for a2, b2 in reflected:
@@ -305,84 +303,18 @@ class OverlapProfile:
             terms.append(dg * (vals[i] + vals[j]) / 2.0)
         return math.fsum(terms)
 
-    def max(self) -> tuple[float, float]:
-        idx = max(range(len(self.values)), key=self.values.__getitem__)
-        return self.breakpoints[idx], self.values[idx]
-
-
-# -- module-level spellings of the core operations ---------------------------
-
-
-def normalize(arcs: Iterable[Arc | tuple[float, float]]) -> CircleSet:
-    """Canonicalize a list of arcs into a CircleSet (union semantics)."""
-    return CircleSet.from_arcs(arcs)
-
-
-def measure(s: CircleSet) -> float:
-    return s.measure()
-
-
-def intersect(s: CircleSet, t: CircleSet) -> CircleSet:
-    return s.intersect(t)
-
-
-def complement(s: CircleSet) -> CircleSet:
-    return s.complement()
-
-
-def translate(s: CircleSet, h: float) -> CircleSet:
-    return s.translate(h)
-
-
-def reflect(s: CircleSet, g: float) -> CircleSet:
-    return s.reflect(g)
-
-
-def reflection_overlap(s: CircleSet, g: float) -> float:
-    return s.reflection_overlap(g)
-
-
-def overlap_profile(s: CircleSet) -> OverlapProfile:
-    return s.overlap_profile()
-
-
-def mean_overlap(s: CircleSet) -> float:
-    return s.mean_overlap()
-
-
-def max_overlap(s: CircleSet) -> tuple[float, float]:
-    return s.max_overlap()
-
-
-def rotation_invariant_part(s: CircleSet, p: int, q: int) -> CircleSet:
-    return s.rotation_invariant_part(p, q)
-
-
-def arc_reflection_overlap(start, length: float, g):
-    """Reflection overlap for a single arc [start, start+length), vectorized.
-
-    This is the exact closed form of ``CircleSet.reflection_overlap`` when
-    the set is one arc: with delta = (g - 2*start - length) mod 1 the
-    overlap is max(0, length - delta) + max(0, delta + length - 1).
-    ``start`` and ``g`` may be scalars or broadcastable numpy arrays.
-    """
-    delta = np.mod(np.asarray(g, dtype=float) - 2.0 * np.asarray(start, dtype=float) - length, 1.0)
-    out = np.maximum(0.0, length - delta) + np.maximum(0.0, delta + length - 1.0)
-    if np.ndim(out) == 0:
-        return float(out)
-    return out
-
 
 def arc_reflection_overlap_into(
     neg_base: np.ndarray, length: float, g: float, out: np.ndarray
 ) -> np.ndarray:
-    """Allocation-free form of :func:`arc_reflection_overlap` for length <= 1/2.
+    """Reflection overlap at axis g of many single arcs of one length <= 1/2, into ``out``.
 
     ``neg_base`` must hold -(2*start + length) for the arc starts; the
-    overlap at axis g is then max(0, |((g + neg_base) mod 1) - 1/2| + length - 1/2),
-    which agrees with the two-term closed form whenever length <= 1/2.
-    One call evaluates one axis g over many arcs; the tests sum it over
-    every axis as the reference for the sorted sweep of ``perfect_profile``.
+    overlap of the arc [start, start + length) at axis g is then
+    max(0, |((g + neg_base) mod 1) - 1/2| + length - 1/2).  Nothing in the
+    package calls it: the tests sum it over every axis as the reference for
+    the sorted sweep of ``perfect_profile``, and the benchmark's tracer wraps
+    it by name.
     """
     if length > 0.5:
         raise ValueError(f"kernel requires arc length <= 1/2, got {length}")

@@ -21,25 +21,24 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .curves import CURVE_PRESET_NOTES, CURVE_PRESETS, CurveSpec
+from .curves import CURVE_PRESET_NOTES, CURVE_PRESETS, FAMILIES, CurveSpec
 from .render import EVOLUTION_TURNS, PRESET_NOTES, RENDER_PRESETS, RenderConfig, render
-from .verify import check_axioms, monte_carlo_overlap, rotation_check
+from .verify import (
+    AXIOM_IDS,
+    G_GRID,
+    V_QUADRATURE,
+    check_axioms,
+    monte_carlo_overlap,
+    rotation_check,
+)
 
-_AXIOM_ALIASES = {
-    "a1": "A1",
-    "a2": "A2",
-    "a3": "A3",
-    "a3''": "A3''",
-    "a3pp": "A3''",
-    "a4": "A4",
-    "a5": "A5",
-}
+_AXIOM_ALIASES = {**{a.lower(): a for a in AXIOM_IDS}, "a3pp": "A3''"}
 
 DEFAULT_AXIOMS = ("A1", "A2", "A3", "A4")
 
 
 def _add_curve_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--family", choices=("fermat", "sine", "ck", "custom"),
+    parser.add_argument("--family", choices=FAMILIES,
                         default="fermat", help="curve family (default fermat)")
     parser.add_argument("--turns", type=float, default=1.0,
                         help="turn count for the fermat family (default 1)")
@@ -200,7 +199,9 @@ def _cmd_presets(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # parse_args keeps no state on the parser, so one serves every call
     parser = argparse.ArgumentParser(
         prog="yy", description="construct, verify, and render yin-yang spiral symbols"
     )
@@ -209,10 +210,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="check the axioms of a curve, emit a JSON report")
     _add_curve_flags(p_verify)
-    p_verify.add_argument("--g-grid", type=int, default=512,
-                          help="number of reflection axes to sample (default 512)")
-    p_verify.add_argument("--v-quad", type=int, default=100_000,
-                          help="quadrature nodes for the height integral (default 100000)")
+    p_verify.add_argument("--g-grid", type=int, default=G_GRID,
+                          help=f"number of reflection axes to sample (default {G_GRID})")
+    p_verify.add_argument("--v-quad", type=int, default=V_QUADRATURE,
+                          help=f"quadrature nodes for the height integral (default {V_QUADRATURE})")
     p_verify.add_argument("--q-max", type=int, default=None,
                           help="also run the rotation-invariance check up to this order")
     p_verify.add_argument("--tolerance", type=float, default=None,
@@ -258,12 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_presets.set_defaults(func=_cmd_presets)
 
     return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    # parse_args keeps no state on the parser, so one serves every call
-    return build_parser()
 
 
 def run(argv: list[str] | None = None) -> int:

@@ -88,9 +88,6 @@ class AlphaProfile:
             out = _bisect_inverse(self.evaluate, v, self.domain_end)
         return float(out) if scalar else out
 
-    def __call__(self, u):
-        return self.evaluate(u)
-
 
 def _ck_half(u, lam: float, k: int):
     return 2.0 * u + lam * u ** (k + 1) * (0.25 - u) ** (k + 1)
@@ -113,8 +110,8 @@ def _bisect_inverse(fn, v: np.ndarray, domain_end: float) -> np.ndarray:
 
 def make_fermat(turns: float) -> AlphaProfile:
     """Linear profile alpha(u) = (2/turns) u for the turns-turn spiral."""
-    if not turns > 0:
-        raise ValueError(f"turn count must be positive, got {turns}")
+    if not (math.isfinite(turns) and turns > 0):
+        raise ValueError(f"turns must be a finite positive number, got {turns}")
     return AlphaProfile(family="fermat", turns=float(turns))
 
 
@@ -131,8 +128,8 @@ def make_ck_variant(lam: float, k: int) -> AlphaProfile:
     Rejects lam values for which the first half loses monotonicity; the
     error message reports a witness u with non-positive derivative.
     """
-    if lam <= 0:
-        raise ValueError(f"ck variant requires lambda > 0, got {lam}")
+    if not (math.isfinite(lam) and lam > 0):
+        raise ValueError(f"ck variant requires a finite lambda > 0, got {lam}")
     if not (isinstance(k, int) and k >= 0):
         raise ValueError(f"smoothness order k must be a non-negative integer, got {k}")
     grid = np.linspace(0.0, 0.25, 10_001)
@@ -192,6 +189,9 @@ class CurveSpec:
             raise ValueError(f"unknown family {self.family!r}, expected one of {FAMILIES}")
         if not (isinstance(self.parts, int) and self.parts >= 2):
             raise ValueError(f"parts must be an integer >= 2, got {self.parts}")
+        for name, value in (("turns", self.turns), ("lambda", self.lam)):
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {value}")
         if self.family in ("sine", "ck") and self.turns != 1.0:
             raise ValueError(f"{self.family} family is one-turn only, got turns={self.turns}")
         if self.family == "custom" and not self.samples:
@@ -249,11 +249,6 @@ def _profile_for(spec: CurveSpec) -> AlphaProfile:
             raise ValueError("ck family requires lambda and k")
         return make_ck_variant(spec.lam, spec.k)
     return make_custom(spec.samples)
-
-
-def alpha_inverse(profile: AlphaProfile, v: float) -> float:
-    """Module-level spelling of AlphaProfile.inverse for a single height."""
-    return profile.inverse(v)
 
 
 def section(spec: CurveSpec, v: float) -> CircleSet:

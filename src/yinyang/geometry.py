@@ -113,8 +113,3 @@ def rotate_u(h: CirclePoint | float, p: CylinderPoint) -> CylinderPoint:
 def reflect_disk(g: CirclePoint | float, p: DiskPoint) -> DiskPoint:
     """Reflect a disk point in the diameter at angle pi*g."""
     return DiskPoint(r=p.r, phi=TWO_PI * float(g) - p.phi)
-
-
-def rotate_disk(h: CirclePoint | float, p: DiskPoint) -> DiskPoint:
-    """Rotate a disk point by angle 2pi*h."""
-    return DiskPoint(r=p.r, phi=p.phi + TWO_PI * float(h))

@@ -23,6 +23,9 @@ import numpy as np
 
 _FMT_ZERO = 5e-7  # snap tiny magnitudes so -0.000000 never appears
 
+#: Most sampling steps along the spiral, 1 / effective_interpol (the presets take 16).
+MAX_SPIRAL_STEPS = 100_000
+
 
 def default_interpol(turn: float) -> float:
     """Sampling step for the spiral: 1/16, refined to 1/(16*turn) past 2 turns."""
@@ -43,6 +46,10 @@ class RenderConfig:
     interpol: float | None = None
 
     def __post_init__(self):
+        for name in ("turn", "radius_px", "rotate_deg", "stroke_width_px", "interpol"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {value}")
         if not self.turn > 0:
             raise ValueError(f"turn must be positive, got {self.turn}")
         if not self.radius_px > 0:
@@ -51,6 +58,11 @@ class RenderConfig:
             raise ValueError(f"parts must be an integer >= 2, got {self.parts}")
         if self.interpol is not None and not self.interpol > 0:
             raise ValueError(f"interpol must be positive, got {self.interpol}")
+        if 1.0 / self.effective_interpol > MAX_SPIRAL_STEPS:
+            raise ValueError(
+                f"sampling step {self.effective_interpol:g} needs more than "
+                f"MAX_SPIRAL_STEPS = {MAX_SPIRAL_STEPS} spiral steps; raise interpol or lower turn"
+            )
         if not self.stroke_width_px > 0:
             raise ValueError(f"stroke_width_px must be positive, got {self.stroke_width_px}")
         object.__setattr__(self, "dark", tuple(float(c) for c in self.dark))
@@ -270,11 +282,6 @@ def render(config: RenderConfig) -> SvgDocument:
     pad = 0.05 * radius + config.stroke_width_px
     size = 2.0 * (radius + pad)
     return SvgDocument(width=size, height=size, elements=tuple(elements))
-
-
-def render_kpartite(config: RenderConfig) -> SvgDocument:
-    """Alias of :func:`render`; parts picks the k-partite mode (2 = classic)."""
-    return render(config)
 
 
 RENDER_PRESETS: dict[str, RenderConfig] = {

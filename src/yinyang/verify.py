@@ -63,6 +63,10 @@ FLATNESS_TOL_TABLE = 1e-4
 TURNING_ANGLE_TOL = 0.2  # radians, A5 sampling surrogate
 RESIDUAL_GRID = 10_000
 
+#: Default reflection axes and v-quadrature nodes of the A4 profile.
+G_GRID = 512
+V_QUADRATURE = 100_000
+
 
 def v_quadrature_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights integrating over v in (0, 1), endpoints excluded.
@@ -155,7 +159,9 @@ def _tent_sweep(centres: np.ndarray, w: np.ndarray, length: float, g: np.ndarray
     return left + right
 
 
-def perfect_profile(spec: CurveSpec, g_grid: int = 512, v_quadrature: int = 100_000) -> PerfectProfile:
+def perfect_profile(
+    spec: CurveSpec, g_grid: int = G_GRID, v_quadrature: int = V_QUADRATURE
+) -> PerfectProfile:
     """Sample f(g) = integral_v of the slice reflection overlap, exactly per fiber.
 
     Each fiber contributes the exact single-arc overlap, a tent of half-width
@@ -294,16 +300,15 @@ class VerifyReport:
             raise ValueError(f"no verdict for requested axioms {missing}")
         return all(self.axioms[a].passed for a in requested)
 
-    def to_json(self, include_values: bool = True) -> dict:
+    def to_json(self) -> dict:
         profile_json = {
             "grid": len(self.profile.g),
             "v_nodes": self.profile.v_nodes,
             "target": self.profile.target,
             "max_dev": self.profile.max_deviation,
             "witness_g": self.profile.witness_g,
+            "values": [float(x) for x in self.profile.values],
         }
-        if include_values:
-            profile_json["values"] = [float(x) for x in self.profile.values]
         return {
             "version": 1,
             "tool_version": __version__,
@@ -334,8 +339,8 @@ def radial_crossings(turns: float, parts: int, u0) -> np.ndarray:
 
 def check_axioms(
     spec: CurveSpec,
-    g_grid: int = 512,
-    v_quadrature: int = 100_000,
+    g_grid: int = G_GRID,
+    v_quadrature: int = V_QUADRATURE,
     flatness_tolerance: float | None = None,
     polyline_points: int = 512,
     seed: int = 0,
@@ -345,8 +350,14 @@ def check_axioms(
     Verdicts use <= against their tolerance (a residual exactly at the
     tolerance passes).  ``flatness_tolerance`` overrides the A4 default,
     which is 1e-6 for closed-form families and 1e-4 for sampled tables
-    (interpolation error dominates there).
+    (interpolation error dominates there); an override must be finite and >= 0.
     """
+    if flatness_tolerance is not None and not (
+        math.isfinite(flatness_tolerance) and flatness_tolerance >= 0.0
+    ):
+        raise ValueError(
+            f"flatness tolerance must be a finite number >= 0, got {flatness_tolerance}"
+        )
     profile = spec.alpha_profile()
     notes: list[str] = []
     axioms: dict[str, AxiomVerdict] = {}
@@ -479,8 +490,7 @@ def single_arc_invariant_measure(length: float, q: int) -> float:
     return q * max(0.0, length - (q - 1) / q)
 
 
-def rotation_check(spec: CurveSpec, q_max: int, v_quadrature: int = 2001,
-                   tolerance: float = 1e-12) -> RotationCheck:
+def rotation_check(spec: CurveSpec, q_max: int, *, tolerance: float = 1e-12) -> RotationCheck:
     """Integrate the rotation-invariant part of each slice over all heights.
 
     For every reduced rotation p/q with 2 <= q <= q_max the integral
@@ -489,9 +499,9 @@ def rotation_check(spec: CurveSpec, q_max: int, v_quadrature: int = 2001,
 
     is reported.  Every slice is one arc of length L = 1/parts <= 1/2, so
     the integrand is :func:`single_arc_invariant_measure` of L at every
-    height and the integral equals it exactly; it is 0 for every spiral
-    symbol, and ``v_quadrature`` has no effect.  A symbol whose parts
-    contain no rotation-symmetric subset reports 0 for every rotation.
+    height and the integral equals it exactly, with no quadrature in v; it
+    is 0 for every spiral symbol, whose parts contain no rotation-symmetric
+    subset.
     """
     if q_max < 2:
         raise ValueError(f"q_max must be >= 2, got {q_max}")

@@ -1,8 +1,8 @@
-"""Brute-force reference implementations used to pin expected test values.
+"""Reference implementations used to pin expected test values.
 
 These deliberately avoid the library's exact arc algebra: membership is
-counted on dense midpoint grids, so any agreement with the library is
-evidence, not tautology.
+counted on dense midpoint grids, or a single arc's overlap is written in
+closed form, so any agreement with the library is evidence, not tautology.
 """
 
 from __future__ import annotations
@@ -45,6 +45,20 @@ def grid_max_overlap(
     g, values = grid_overlap_profile(arcs, g_points, n)
     i = int(np.argmax(values))
     return float(g[i]), float(values[i])
+
+
+def arc_reflection_overlap(start, length: float, g):
+    """Reflection overlap of the single arc [start, start+length), vectorized.
+
+    With delta = (g - 2*start - length) mod 1 the overlap is
+    max(0, length - delta) + max(0, delta + length - 1).  ``start`` and ``g``
+    may be scalars or broadcastable numpy arrays.
+    """
+    delta = np.mod(np.asarray(g, dtype=float) - 2.0 * np.asarray(start, dtype=float) - length, 1.0)
+    out = np.maximum(0.0, length - delta) + np.maximum(0.0, delta + length - 1.0)
+    if np.ndim(out) == 0:
+        return float(out)
+    return out
 
 
 def annular_sector_area(r1: float, r2: float, phi1: float, phi2: float) -> float:

@@ -5,15 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from yinyang.circle_sets import (
-    Arc,
-    CircleSet,
-    arc_reflection_overlap,
-    arc_reflection_overlap_into,
-    normalize,
-)
+from yinyang.circle_sets import Arc, CircleSet, arc_reflection_overlap_into
 
-from _oracles import grid_max_overlap, grid_overlap_profile, grid_reflection_overlap
+from _oracles import (
+    arc_reflection_overlap,
+    grid_max_overlap,
+    grid_overlap_profile,
+    grid_reflection_overlap,
+)
 
 TOL = 1e-12
 
@@ -298,7 +297,3 @@ def test_json_round_trip():
     s = CircleSet.from_arcs([(0.9, 0.2), (0.4, 0.1)])
     t = CircleSet.from_json(json.loads(json.dumps(s.to_json())))
     assert t == s
-
-
-def test_normalize_function_alias():
-    assert normalize([(0.0, 0.3), (0.3, 0.2)]).to_json() == [[0.0, 0.5]]

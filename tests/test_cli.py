@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -75,6 +76,30 @@ def test_verify_bad_lambda_exits_two(capsys):
     code = run(["verify", "--family", "sine", "--lambda", "0.3"])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["--turns", "inf"], "turns"),
+        (["--turns", "nan"], "turns"),
+        (["--family", "ck", "--k", "1", "--lambda", "nan"], "lambda"),
+        (["--family", "ck", "--k", "1", "--lambda", "inf"], "lambda"),
+        (["--family", "sine", "--lambda", "inf"], "lambda"),
+        (["--tolerance", "nan"], "tolerance"),
+        (["--tolerance", "inf"], "tolerance"),
+        (["--tolerance=-1"], "tolerance"),
+    ],
+)
+def test_verify_bad_number_exits_two(argv, flag, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(["verify", *argv, *FAST_VERIFY])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and flag in captured.err
+    assert not caught, [str(w.message) for w in caught]
 
 
 def test_verify_bad_axiom_id_exits_two():
@@ -154,6 +179,25 @@ def test_render_overrides_and_config(tmp_path):
     out2 = tmp_path / "from_flags.svg"
     assert run(["render", "--turn", "0.6", "--rotate", "-8", "--out", str(out2)]) == 0
     assert out.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "flag, value, field",
+    [
+        ("--radius", "inf", "radius_px"),
+        ("--rotate", "nan", "rotate_deg"),
+        ("--stroke-width", "inf", "stroke_width_px"),
+        ("--turn", "inf", "turn"),
+        ("--interpol", "nan", "interpol"),
+        ("--interpol", "5e-6", "MAX_SPIRAL_STEPS"),
+    ],
+)
+def test_render_bad_number_exits_two(flag, value, field, tmp_path, capsys):
+    out = tmp_path / "x.svg"
+    assert run(["render", f"{flag}={value}", "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and field in err
 
 
 def test_render_evolution_phases(tmp_path):

@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 
 from yinyang.curves import (
     CurveSpec,
-    alpha_inverse,
     beta_polyline,
     contains,
     make_ck_variant,
@@ -153,8 +152,8 @@ def test_custom_table_validation():
 
 
 def test_alpha_inverse_closed_forms():
-    assert alpha_inverse(make_fermat(1.0), 0.5) == pytest.approx(0.25)
-    assert alpha_inverse(make_fermat(2.0), 0.7) == pytest.approx(0.7)
+    assert make_fermat(1.0).inverse(0.5) == pytest.approx(0.25)
+    assert make_fermat(2.0).inverse(0.7) == pytest.approx(0.7)
 
 
 def test_alpha_inverse_round_trips():
@@ -189,6 +188,33 @@ def test_spec_validation():
         CurveSpec(family="ck", lam=10.0, k=0)
     with pytest.raises(ValueError):
         CurveSpec(family="ck", lam=1.0)  # k missing
+
+
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [
+        (dict(family="fermat", turns=math.inf), "turns"),
+        (dict(family="fermat", turns=math.nan), "turns"),
+        (dict(family="custom", turns=math.nan, samples=((0.25, 0.5), (0.5, 1.0))), "turns"),
+        (dict(family="ck", lam=math.nan, k=1), "lambda"),
+        (dict(family="ck", lam=math.inf, k=1), "lambda"),
+        (dict(family="sine", lam=math.nan), "lambda"),
+        (dict(family="fermat", lam=math.inf), "lambda"),
+    ],
+)
+def test_spec_rejects_non_finite_parameters(kwargs, name):
+    with pytest.raises(ValueError, match=name):
+        CurveSpec(**kwargs)
+
+
+def test_makers_reject_non_finite_parameters():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="turns"):
+            make_fermat(bad)
+        with pytest.raises(ValueError, match="lambda"):
+            make_sine_variant(bad)
+        with pytest.raises(ValueError, match="lambda"):
+            make_ck_variant(bad, 1)
 
 
 def test_spec_custom_turns_follow_table():

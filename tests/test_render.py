@@ -10,10 +10,10 @@ from yinyang.render import (
     EVOLUTION_TURNS,
     PRESET_NOTES,
     RENDER_PRESETS,
+    MAX_SPIRAL_STEPS,
     RenderConfig,
     default_interpol,
     render,
-    render_kpartite,
     spiral_points,
 )
 
@@ -107,11 +107,6 @@ def test_kpartite_structure():
         assert len(_stroke_paths(xml)) == parts
 
 
-def test_kpartite_parts2_degenerates_to_render():
-    cfg = RenderConfig(parts=2)
-    assert render_kpartite(cfg).to_xml() == render(cfg).to_xml()
-
-
 def test_kpartite_branch_rotation():
     xml = render(RenderConfig(parts=3, stroke_width_px=1.0)).to_xml()
     paths = [_path_points(d) for d in _stroke_paths(xml)]
@@ -167,6 +162,21 @@ def test_config_validation():
         RenderConfig(dark=(1.5, 0.0, 0.0))
     with pytest.raises(ValueError):
         RenderConfig(interpol=-0.1)
+
+
+@pytest.mark.parametrize("field", ["turn", "radius_px", "rotate_deg", "stroke_width_px", "interpol"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_config_rejects_non_finite_numbers(field, bad):
+    with pytest.raises(ValueError, match=f"{field} must be a finite number"):
+        RenderConfig(**{field: bad})
+
+
+def test_config_caps_spiral_steps():
+    RenderConfig(interpol=1.0 / MAX_SPIRAL_STEPS)
+    RenderConfig(turn=MAX_SPIRAL_STEPS / 16.0)  # default step 1/(16*turn)
+    for cfg in ({"interpol": 1e-9}, {"interpol": 0.5 / MAX_SPIRAL_STEPS}, {"turn": 1e5}):
+        with pytest.raises(ValueError, match="MAX_SPIRAL_STEPS"):
+            RenderConfig(**cfg)
 
 
 def test_svg_is_well_formed():

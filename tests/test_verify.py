@@ -334,14 +334,14 @@ def test_report_requires_known_axioms():
 
 
 def test_rotation_check_fermat():
-    rc = rotation_check(CurveSpec(family="fermat", turns=1.0), q_max=6, v_quadrature=501)
+    rc = rotation_check(CurveSpec(family="fermat", turns=1.0), q_max=6)
     assert rc.passed
     assert len(rc.integrals) == len(reduced_rotations(6)) == 11
     assert all(v <= 1e-12 for v in rc.integrals.values())
 
 
 def test_rotation_check_three_parts():
-    rc = rotation_check(CurveSpec(family="fermat", turns=1.0, parts=3), q_max=3, v_quadrature=301)
+    rc = rotation_check(CurveSpec(family="fermat", turns=1.0, parts=3), q_max=3)
     assert rc.integrals["1/3"] == 0.0  # length-1/3 arcs kill the 1/3 rotation
 
 
@@ -378,6 +378,14 @@ def test_rotation_check_matches_slice_algebra():
             fibers = np.array([s.rotation_invariant_part(p, q).measure() for s in slices])
             assert rc.integrals[f"{p}/{q}"] == pytest.approx(float(w @ fibers), abs=1e-12)
     assert "closed form, single-arc slices" in rc.to_json()["detail"]
+
+
+def test_check_axioms_validates_flatness_tolerance():
+    spec = CurveSpec(family="fermat", turns=1.0)
+    for bad in (math.nan, math.inf, -1.0):
+        with pytest.raises(ValueError, match="tolerance"):
+            check_axioms(spec, flatness_tolerance=bad, **FAST)
+    assert check_axioms(spec, flatness_tolerance=0.0, **FAST).tolerances["flatness"] == 0.0
 
 
 def test_rotation_check_validation():
