@@ -84,8 +84,12 @@ def _merge(pieces: Iterable[tuple[float, float]]) -> tuple[tuple[float, float], 
             merged[-1][1] = max(merged[-1][1], b)
         else:
             merged.append([a, b])
-    if len(merged) == 1 and merged[0][0] <= EPS and merged[0][1] >= 1.0 - EPS:
-        return ((0.0, 1.0),)
+    # a gap of at most EPS at either end of [0, 1) closes like an interior one,
+    # so the complement never drops a sliver that the measure still counts
+    if merged[0][0] <= EPS:
+        merged[0][0] = 0.0
+    if merged[-1][1] >= 1.0 - EPS:
+        merged[-1][1] = 1.0
     return tuple((a, b) for a, b in merged)
 
 

@@ -102,6 +102,16 @@ def test_complement_measure(s):
     assert s.complement().measure() == pytest.approx(1.0 - s.measure(), abs=TOL)
 
 
+def test_complement_keeps_measure_with_sliver_gaps_at_zero():
+    # gaps of at most EPS at 0 and 1 close in the canonical form, as interior ones do
+    s = CircleSet.from_arcs([(1e-12, 0.25), (0.26, 0.25)])
+    assert s.arcs[0].start == 0.0
+    assert s.complement().measure() == pytest.approx(1.0 - s.measure(), abs=TOL)
+    t = CircleSet.from_arcs([(0.5e-12, 0.4), (0.5, 0.5 - 0.5e-12)])
+    assert t.arcs[-1].end == 1.0
+    assert t.complement().measure() == pytest.approx(1.0 - t.measure(), abs=TOL)
+
+
 @given(circle_sets(), st.floats(0.0, 1.0))
 def test_translate_preserves_measure(s, h):
     assert s.translate(h).measure() == pytest.approx(s.measure(), abs=TOL)
