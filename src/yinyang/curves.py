@@ -146,13 +146,18 @@ def make_ck_variant(lam: float, k: int) -> AlphaProfile:
 def make_custom(samples: Sequence[Sequence[float]]) -> AlphaProfile:
     """Profile from a monotone (u, v) sample table, interpolated linearly.
 
-    The table must be strictly increasing in both coordinates and end at
+    The table must be finite, strictly increasing in both coordinates and end at
     v = 1; a (0, 0) anchor is prepended when missing.  Violations are hard
     errors.
     """
     pts = [(float(u), float(v)) for u, v in samples]
     if not pts:
         raise ValueError("custom profile needs at least one sample")
+    for i, p in enumerate(pts):
+        if not all(map(math.isfinite, p)):
+            raise ValueError(
+                f"sample table entries must be finite numbers, got {list(p)} at index {i}"
+            )
     if pts[0][0] > 0.0 or pts[0][1] > 0.0:
         pts.insert(0, (0.0, 0.0))
     u = np.array([p[0] for p in pts])

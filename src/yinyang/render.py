@@ -23,8 +23,19 @@ import numpy as np
 
 _FMT_ZERO = 5e-7  # snap tiny magnitudes so -0.000000 never appears
 
-#: Most sampling steps along the spiral, 1 / effective_interpol (the presets take 16).
+#: Most sampling steps along the spiral, floor(1 / interpol) (the presets take 16).
 MAX_SPIRAL_STEPS = 100_000
+
+
+def spiral_steps(interpol: float) -> int:
+    """Sampling steps of the spiral at step ``interpol``; above MAX_SPIRAL_STEPS is an error."""
+    steps = int(math.floor(1.0 / interpol + 1e-9))
+    if steps > MAX_SPIRAL_STEPS:
+        raise ValueError(
+            f"sampling step {interpol:g} needs more than "
+            f"MAX_SPIRAL_STEPS = {MAX_SPIRAL_STEPS} spiral steps; raise interpol or lower turn"
+        )
+    return steps
 
 
 def default_interpol(turn: float) -> float:
@@ -58,11 +69,7 @@ class RenderConfig:
             raise ValueError(f"parts must be an integer >= 2, got {self.parts}")
         if self.interpol is not None and not self.interpol > 0:
             raise ValueError(f"interpol must be positive, got {self.interpol}")
-        if 1.0 / self.effective_interpol > MAX_SPIRAL_STEPS:
-            raise ValueError(
-                f"sampling step {self.effective_interpol:g} needs more than "
-                f"MAX_SPIRAL_STEPS = {MAX_SPIRAL_STEPS} spiral steps; raise interpol or lower turn"
-            )
+        spiral_steps(self.effective_interpol)
         if not self.stroke_width_px > 0:
             raise ValueError(f"stroke_width_px must be positive, got {self.stroke_width_px}")
         object.__setattr__(self, "dark", tuple(float(c) for c in self.dark))
@@ -140,7 +147,7 @@ def spiral_points(turn: float, interpol: float) -> np.ndarray:
         raise ValueError(f"turn must be positive, got {turn}")
     if not interpol > 0:
         raise ValueError(f"interpol must be positive, got {interpol}")
-    steps = int(math.floor(1.0 / interpol + 1e-9))
+    steps = spiral_steps(interpol)
     pts = [(0.0, 0.0)]
     for i in range(steps + 1):
         r = i * interpol

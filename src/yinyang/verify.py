@@ -55,7 +55,16 @@ from .curves import AlphaProfile, CurveSpec, branch_polylines, polyline_turning_
 from .geometry import mod1
 
 AXIOM_IDS = ("A1", "A2", "A3", "A3''", "A4", "A5")
-RELATION_IDS = ("eq_alal", "eq_mm", "eq_alalal", "eq_sigma", "eq_al3")
+
+#: Turn count each relation applies to, in report order.
+RELATION_TURNS = {
+    "eq_alal": 1.0,
+    "eq_mm": 1.0,
+    "eq_alalal": 2.0,
+    "eq_sigma": 2.0,
+    "eq_al3": 1.5,
+}
+RELATION_IDS = tuple(RELATION_TURNS)
 
 #: Flatness tolerance for A4: closed-form families vs interpolated tables.
 FLATNESS_TOL_CLOSED_FORM = 1e-6
@@ -67,6 +76,11 @@ RESIDUAL_GRID = 10_000
 G_GRID = 512
 V_QUADRATURE = 100_000
 
+#: Largest work sizes accepted: reflection axes, v-quadrature nodes, disk samples.
+MAX_G_GRID = 65_536
+MAX_V_QUADRATURE = 2_000_001
+MAX_MC_SAMPLES = 10_000_000
+
 
 def v_quadrature_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights integrating over v in (0, 1), endpoints excluded.
@@ -76,8 +90,8 @@ def v_quadrature_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     profiles); the two half-step tails are closed with rectangles.  The
     node count is rounded up to odd; weights sum to 1 exactly.
     """
-    if n < 2:
-        raise ValueError(f"need at least 2 quadrature nodes, got {n}")
+    if not 2 <= n <= MAX_V_QUADRATURE:
+        raise ValueError(f"need 2 to {MAX_V_QUADRATURE} quadrature nodes, got {n}")
     m = n if n % 2 == 1 else n + 1
     h = 1.0 / m
     nodes = (np.arange(m) + 0.5) * h
@@ -169,11 +183,11 @@ def perfect_profile(
     One sort of the tent centres and prefix sums of w and w*c give f at all
     axes in O((V + G) log V) for V quadrature nodes and G axes.
     """
-    if g_grid < 2:
-        raise ValueError(f"need at least 2 reflection axes, got {g_grid}")
+    if not 2 <= g_grid <= MAX_G_GRID:
+        raise ValueError(f"need 2 to {MAX_G_GRID} reflection axes, got {g_grid}")
+    nodes, w = v_quadrature_rule(v_quadrature)
     profile = spec.alpha_profile()
     length = 1.0 / spec.parts
-    nodes, w = v_quadrature_rule(v_quadrature)
     g_values = np.arange(g_grid) / g_grid
     f = _tent_sweep(np.mod(2.0 * profile.inverse(nodes) + length, 1.0), w, length, g_values)
     target = length * length
@@ -229,41 +243,31 @@ def _grid(lo: float, hi: float, n: int = RESIDUAL_GRID) -> np.ndarray:
 
 def relation_residual(profile: AlphaProfile, relation: str) -> float:
     """Sup of |LHS - RHS| of the named relation over a dense grid of its domain."""
+    if relation not in RELATION_TURNS:
+        raise ValueError(f"unknown relation {relation!r}, expected one of {RELATION_IDS}")
+    _require_turns(profile, relation, RELATION_TURNS[relation])
     a = profile.evaluate
     if relation == "eq_alal":
-        _require_turns(profile, relation, 1.0)
         u = _grid(0.0, 0.25)
         res = a(u + 0.25) - a(u) - 0.5
     elif relation == "eq_mm":
-        _require_turns(profile, relation, 1.0)
         u = _grid(0.0, 0.5)
         res = m_function(profile, u) - m_function(profile, u + 0.5)
     elif relation == "eq_alalal":
-        _require_turns(profile, relation, 2.0)
         u = _grid(0.0, 0.25)
         res = 0.5 + a(u) + a(u + 0.5) - a(u + 0.25) - a(u + 0.75)
     elif relation == "eq_sigma":
-        _require_turns(profile, relation, 2.0)
         u = _grid(0.0, 0.25)
         sigma = lambda x: a(x + 0.25) - a(x)
         res = sigma(u + 0.5) - (0.5 - sigma(u))
-    elif relation == "eq_al3":
-        _require_turns(profile, relation, 1.5)
+    else:  # eq_al3
         u = _grid(0.0, 0.25)
         res = a(u) + a(u + 0.5) - a(u + 0.25) - 0.5
-    else:
-        raise ValueError(f"unknown relation {relation!r}, expected one of {RELATION_IDS}")
     return float(np.max(np.abs(res)))
 
 
 def applicable_relations(turns: float) -> tuple[str, ...]:
-    if abs(turns - 1.0) <= 1e-12:
-        return ("eq_alal", "eq_mm")
-    if abs(turns - 2.0) <= 1e-12:
-        return ("eq_alalal", "eq_sigma")
-    if abs(turns - 1.5) <= 1e-12:
-        return ("eq_al3",)
-    return ()
+    return tuple(r for r, t in RELATION_TURNS.items() if abs(turns - t) <= 1e-12)
 
 
 # -- axiom verdicts -----------------------------------------------------------
@@ -546,8 +550,8 @@ def monte_carlo_overlap(
     reflection.  Reproducible for a fixed seed; the standard error is
     the sample standard deviation over sqrt(samples).
     """
-    if samples < 1:
-        raise ValueError(f"need at least one sample, got {samples}")
+    if not 1 <= samples <= MAX_MC_SAMPLES:
+        raise ValueError(f"need 1 to {MAX_MC_SAMPLES} samples, got {samples}")
     if not math.isfinite(g):
         raise ValueError(f"reflection axis g must be a finite number, got {g}")
     profile = spec.alpha_profile()

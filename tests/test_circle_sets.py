@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from yinyang.circle_sets import Arc, CircleSet, arc_reflection_overlap_into
+from yinyang.circle_sets import EPS, Arc, CircleSet, arc_reflection_overlap_into
 
 from _oracles import (
     arc_reflection_overlap,
@@ -104,10 +104,10 @@ def test_complement_measure(s):
 
 def test_complement_keeps_measure_with_sliver_gaps_at_zero():
     # gaps of at most EPS at 0 and 1 close in the canonical form, as interior ones do
-    s = CircleSet.from_arcs([(1e-12, 0.25), (0.26, 0.25)])
+    s = CircleSet.from_arcs([(EPS, 0.25), (0.26, 0.25)])
     assert s.arcs[0].start == 0.0
     assert s.complement().measure() == pytest.approx(1.0 - s.measure(), abs=TOL)
-    t = CircleSet.from_arcs([(0.5e-12, 0.4), (0.5, 0.5 - 0.5e-12)])
+    t = CircleSet.from_arcs([(EPS / 2, 0.4), (0.5, 0.5 - EPS / 2)])
     assert t.arcs[-1].end == 1.0
     assert t.complement().measure() == pytest.approx(1.0 - t.measure(), abs=TOL)
 
@@ -120,6 +120,20 @@ def test_translate_preserves_measure(s, h):
 @given(circle_sets(), st.floats(0.0, 1.0))
 def test_reflect_preserves_measure(s, g):
     assert s.reflect(g).measure() == pytest.approx(s.measure(), abs=TOL)
+
+
+# A 1e-12 sliver at 0 or 1 must survive canonicalisation: snapping or dropping
+# it would move a measure by the full tolerance of the checks above.
+
+
+def test_translate_by_tolerance_keeps_measure():
+    s = CircleSet.from_arcs([(0.0, 0.125)])
+    assert abs(s.translate(1e-12).measure() - s.measure()) <= TOL
+
+
+def test_reflect_with_tolerance_wrap_keeps_measure():
+    s = CircleSet.from_arcs([(0.0, 0.125)])
+    assert abs(s.reflect(0.125 - 1e-12).measure() - s.measure()) <= TOL
 
 
 @given(circle_sets(), st.floats(0.0, 1.0))
@@ -186,6 +200,12 @@ def test_overlap_symmetry_under_base_reflection(s, g):
     assert s.reflection_overlap(g) == pytest.approx(
         s.reflect(0.0).reflection_overlap((-g) % 1.0), abs=TOL
     )
+
+
+def test_overlap_symmetry_under_base_reflection_at_tolerance_axis():
+    s = CircleSet.from_arcs([(0.0, 0.25)])
+    g = 1e-12
+    assert abs(s.reflection_overlap(g) - s.reflect(0.0).reflection_overlap((-g) % 1.0)) <= TOL
 
 
 # -- averaging identity and strict maximum --------------------------------------
@@ -281,6 +301,11 @@ def test_arc_closed_form_matches_set_algebra(start, length, g):
     assert arc_reflection_overlap(start, length, g) == pytest.approx(
         s.reflection_overlap(g), abs=TOL
     )
+
+
+def test_arc_closed_form_matches_set_algebra_at_tolerance_start():
+    s = CircleSet.from_arcs([(1e-12, 0.5)])
+    assert abs(arc_reflection_overlap(1e-12, 0.5, 0.5) - s.reflection_overlap(0.5)) <= TOL
 
 
 @given(

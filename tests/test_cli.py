@@ -8,6 +8,7 @@ import pytest
 
 from yinyang import cli
 from yinyang.cli import run
+from yinyang.verify import MAX_G_GRID, MAX_MC_SAMPLES, MAX_V_QUADRATURE
 
 FIXTURES = Path(__file__).parent / "fixtures"
 FAST_VERIFY = ["--g-grid", "64", "--v-quad", "5001"]
@@ -100,6 +101,33 @@ def test_verify_bad_number_exits_two(argv, flag, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error:") and flag in captured.err
     assert not caught, [str(w.message) for w in caught]
+
+
+def test_verify_non_finite_sample_table_exits_two(tmp_path, capsys):
+    table = tmp_path / "nan.json"
+    table.write_text("[[0.1, NaN], [0.25, 0.5], [0.5, 1.0]]")
+    code = run(["verify", "--family", "custom", "--samples", str(table), *FAST_VERIFY])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "sample table" in captured.err
+    assert "JSON compliant" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, limit",
+    [
+        (["verify", "--g-grid", str(MAX_G_GRID + 1)], MAX_G_GRID),
+        (["verify", "--v-quad", str(MAX_V_QUADRATURE + 1)], MAX_V_QUADRATURE),
+        (["oracle", "--g", "0.3", "--mc-samples", str(MAX_MC_SAMPLES + 1)], MAX_MC_SAMPLES),
+    ],
+)
+def test_work_size_over_cap_exits_two(argv, limit, capsys):
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and str(limit) in captured.err
 
 
 def test_verify_bad_axiom_id_exits_two():

@@ -146,6 +146,11 @@ def test_custom_table_validation():
         make_custom([(0.0, 0.0), (0.2, 0.6), (0.3, 0.5), (0.5, 1.0)])
     with pytest.raises(ValueError, match="reach 1"):
         make_custom([(0.0, 0.0), (0.5, 0.9)])
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="sample table"):
+            make_custom([(0.1, bad), (0.25, 0.5), (0.5, 1.0)])
+        with pytest.raises(ValueError, match="sample table"):
+            make_custom([(0.1, 0.2), (bad, 0.5), (0.5, 1.0)])
 
 
 # -- inversion ------------------------------------------------------------------------

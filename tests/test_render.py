@@ -179,6 +179,12 @@ def test_config_caps_spiral_steps():
             RenderConfig(**cfg)
 
 
+def test_spiral_points_caps_steps():
+    assert len(spiral_points(1.0, 1.0 / MAX_SPIRAL_STEPS)) == MAX_SPIRAL_STEPS + 3
+    with pytest.raises(ValueError, match="MAX_SPIRAL_STEPS"):
+        spiral_points(1.0, 1e-6)
+
+
 def test_svg_is_well_formed():
     import xml.etree.ElementTree as ET
 

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,11 @@ from yinyang.curves import (
     make_sine_variant,
 )
 from yinyang.verify import (
+    MAX_G_GRID,
+    MAX_MC_SAMPLES,
+    MAX_V_QUADRATURE,
     AxiomVerdict,
+    applicable_relations,
     check_axioms,
     m_function,
     monte_carlo_overlap,
@@ -57,6 +62,34 @@ def test_quadrature_integrates_smooth_functions():
 def test_quadrature_rejects_tiny_n():
     with pytest.raises(ValueError):
         v_quadrature_rule(1)
+
+
+def _raises_without_allocating(match, fn, *args, **kwargs):
+    # the size check must come before the work it bounds
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=match):
+            fn(*args, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
+def test_work_sizes_are_capped():
+    spec = CurveSpec(family="fermat")
+    _raises_without_allocating("quadrature nodes", v_quadrature_rule, MAX_V_QUADRATURE + 1)
+    _raises_without_allocating(
+        "quadrature nodes", perfect_profile, spec, g_grid=8, v_quadrature=MAX_V_QUADRATURE + 1
+    )
+    _raises_without_allocating(
+        "reflection axes", perfect_profile, spec, g_grid=MAX_G_GRID + 1, v_quadrature=101
+    )
+    _raises_without_allocating(
+        "samples", monte_carlo_overlap, spec, g=0.3, samples=MAX_MC_SAMPLES + 1, seed=1
+    )
+    assert len(v_quadrature_rule(MAX_V_QUADRATURE)[0]) == MAX_V_QUADRATURE
+    assert len(perfect_profile(spec, g_grid=MAX_G_GRID, v_quadrature=101).g) == MAX_G_GRID
 
 
 # -- perfect profile -----------------------------------------------------------
@@ -182,6 +215,13 @@ def test_residual_domain_mismatch():
         relation_residual(make_fermat(1.0), "eq_sigma")
     with pytest.raises(ValueError, match="1.5 turns"):
         relation_residual(make_fermat(1.0), "eq_al3")
+
+
+def test_applicable_relations_follow_turns():
+    assert applicable_relations(1.0) == ("eq_alal", "eq_mm")
+    assert applicable_relations(2.0) == ("eq_alalal", "eq_sigma")
+    assert applicable_relations(1.5) == ("eq_al3",)
+    assert applicable_relations(1.25) == ()
 
 
 def test_residual_unknown_relation():
