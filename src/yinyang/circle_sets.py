@@ -34,11 +34,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from .geometry import mod1
+from .geometry import finite, mod1
 
 #: Absolute tolerance for endpoint comparisons when merging arcs.
 EPS = 1e-14
@@ -56,10 +56,11 @@ class Arc:
     length: float
 
     def __post_init__(self):
-        if not 0.0 < self.length <= 1.0 + EPS:
-            raise ValueError(f"arc length must lie in (0, 1], got {self.length}")
-        object.__setattr__(self, "length", min(float(self.length), 1.0))
-        object.__setattr__(self, "start", mod1(float(self.start)))
+        length = finite("arc length", self.length)
+        if not 0.0 < length <= 1.0 + EPS:
+            raise ValueError(f"arc length must lie in (0, 1], got {length}")
+        object.__setattr__(self, "length", min(length, 1.0))
+        object.__setattr__(self, "start", mod1(finite("arc start", self.start)))
 
     @property
     def end(self) -> float:
@@ -131,8 +132,11 @@ class CircleSet:
         return cls(arcs=tuple(Arc(a, b - a) for a, b in _merge(pieces)))
 
     @classmethod
-    def from_json(cls, data: Sequence[Sequence[float]]) -> "CircleSet":
-        return cls.from_arcs((float(s), float(l)) for s, l in data)
+    def from_json(cls, data: list[list[float]]) -> "CircleSet":
+        """The set of a JSON list of [start, length] pairs; any other shape raises ValueError."""
+        if not (isinstance(data, list) and all(isinstance(p, list) and len(p) == 2 for p in data)):
+            raise ValueError("a circle set must be a JSON list of [start, length] pairs")
+        return cls.from_arcs(data)
 
     def to_json(self) -> list[list[float]]:
         return [[a.start, a.length] for a in self.arcs]

@@ -53,19 +53,13 @@ def _add_curve_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _spec_from_args(args: argparse.Namespace) -> CurveSpec:
-    samples = None
-    if args.samples is not None:
-        data = json.loads(args.samples.read_text())
-        if isinstance(data, dict):
-            data = data["samples"]
-        samples = tuple((float(u), float(v)) for u, v in data)
     return CurveSpec(
         family=args.family,
         turns=args.turns,
         lam=args.lam,
         k=args.k,
         parts=args.parts,
-        samples=samples,
+        samples=None if args.samples is None else json.loads(args.samples.read_text()),
     )
 
 
@@ -124,6 +118,16 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     return 0
 
 
+#: The argparse destination of each render flag and the RenderConfig field it sets.
+_RENDER_FLAGS = {"turn": "turn", "radius": "radius_px", "rotate": "rotate_deg",
+                 "counterclockwise": "clockwise", "parts": "parts", "interpol": "interpol",
+                 "stroke_width": "stroke_width_px", "dark": "dark"}
+
+
+def _color(text: str) -> tuple[float, ...]:
+    return tuple(float(c) for c in text.split(","))
+
+
 def _render_config_from_args(args: argparse.Namespace) -> RenderConfig:
     if args.config is not None:
         config = RenderConfig.from_json(json.loads(args.config.read_text()))
@@ -135,26 +139,9 @@ def _render_config_from_args(args: argparse.Namespace) -> RenderConfig:
         config = RENDER_PRESETS[args.preset]
     else:
         config = RenderConfig()
-    overrides: dict = {}
-    if args.turn is not None:
-        overrides["turn"] = args.turn
-    if args.radius is not None:
-        overrides["radius_px"] = args.radius
-    if args.rotate is not None:
-        overrides["rotate_deg"] = args.rotate
-    if args.counterclockwise:
-        overrides["clockwise"] = False
-    if args.parts is not None:
-        overrides["parts"] = args.parts
-    if args.interpol is not None:
-        overrides["interpol"] = args.interpol
-    if args.stroke_width is not None:
-        overrides["stroke_width_px"] = args.stroke_width
-    if args.dark is not None:
-        overrides["dark"] = tuple(float(c) for c in args.dark.split(","))
-    if overrides:
-        config = replace(config, **overrides)
-    return config
+    overrides = {field: getattr(args, dest) for dest, field in _RENDER_FLAGS.items()
+                 if getattr(args, dest) is not None}
+    return replace(config, **overrides)
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
@@ -242,13 +229,13 @@ def _parser() -> argparse.ArgumentParser:
     p_render.add_argument("--turn", type=float, default=None)
     p_render.add_argument("--radius", type=float, default=None, help="disk radius in px")
     p_render.add_argument("--rotate", type=float, default=None, help="extra rotation, degrees")
-    p_render.add_argument("--counterclockwise", action="store_true",
+    p_render.add_argument("--counterclockwise", action="store_const", const=False,
                           help="mirror the symbol about the vertical axis")
     p_render.add_argument("--parts", type=int, default=None,
                           help="number of congruent parts (>= 3 shades every part)")
     p_render.add_argument("--interpol", type=float, default=None, help="spiral sampling step")
     p_render.add_argument("--stroke-width", type=float, default=None)
-    p_render.add_argument("--dark", default=None, help="fill color as r,g,b in [0,1]")
+    p_render.add_argument("--dark", type=_color, help="fill color as r,g,b in [0,1]")
     p_render.add_argument("--evolution", action="store_true",
                           help="emit the four evolution phases as -a/-b/-c/-d files")
     p_render.add_argument("--out", type=Path, default=None, help="output SVG path")
@@ -268,7 +255,7 @@ def run(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -27,15 +27,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
 from .circle_sets import CircleSet
-from .geometry import DiskPoint, disk_to_cylinder, mod1
+from .geometry import DiskPoint, check_parts, disk_to_cylinder, finite, mod1
 
-FAMILIES = ("fermat", "sine", "ck", "custom")
+#: The parameters each family takes besides turns and parts; it refuses the others.
+FAMILY_PARAMS = {"fermat": (), "sine": ("lambda",), "ck": ("lambda", "k"), "custom": ("samples",)}
+FAMILIES = tuple(FAMILY_PARAMS)
+
+#: Turn counts lie in [1/MAX_TURNS, MAX_TURNS]; at MAX_TURNS the A4 tent centres
+#: (2t + L) mod 1 still resolve to about 1e-10.
+MAX_TURNS = 1e6
 
 _INVERSE_BISECTIONS = 64  # enough to exhaust float64 resolution on (0, turns/2]
 
@@ -55,6 +60,10 @@ class AlphaProfile:
     k: int | None = None
     u_table: np.ndarray | None = None
     v_table: np.ndarray | None = None
+
+    def __post_init__(self):
+        if not 1.0 / MAX_TURNS <= self.turns <= MAX_TURNS:
+            raise ValueError(f"turns {self.turns} lies outside [{1 / MAX_TURNS:g}, {MAX_TURNS:g}]")
 
     @property
     def domain_end(self) -> float:
@@ -110,16 +119,15 @@ def _bisect_inverse(fn, v: np.ndarray, domain_end: float) -> np.ndarray:
 
 def make_fermat(turns: float) -> AlphaProfile:
     """Linear profile alpha(u) = (2/turns) u for the turns-turn spiral."""
-    if not (math.isfinite(turns) and turns > 0):
-        raise ValueError(f"turns must be a finite positive number, got {turns}")
-    return AlphaProfile(family="fermat", turns=float(turns))
+    return AlphaProfile(family="fermat", turns=finite("turns", turns))
 
 
 def make_sine_variant(lam: float) -> AlphaProfile:
     """One-turn profile 2u + (lam/pi) sin(8 pi u); requires 0 < lam < 1/4."""
+    lam = finite("lambda", lam)
     if not 0.0 < lam < 0.25:
         raise ValueError(f"sine variant requires 0 < lambda < 1/4, got {lam}")
-    return AlphaProfile(family="sine", turns=1.0, lam=float(lam))
+    return AlphaProfile(family="sine", turns=1.0, lam=lam)
 
 
 def make_ck_variant(lam: float, k: int) -> AlphaProfile:
@@ -128,9 +136,10 @@ def make_ck_variant(lam: float, k: int) -> AlphaProfile:
     Rejects lam values for which the first half loses monotonicity; the
     error message reports a witness u with non-positive derivative.
     """
-    if not (math.isfinite(lam) and lam > 0):
-        raise ValueError(f"ck variant requires a finite lambda > 0, got {lam}")
-    if not (isinstance(k, int) and k >= 0):
+    lam = finite("lambda", lam)
+    if not lam > 0:
+        raise ValueError(f"ck variant requires lambda > 0, got {lam}")
+    if isinstance(k, bool) or not (isinstance(k, int) and k >= 0):
         raise ValueError(f"smoothness order k must be a non-negative integer, got {k}")
     grid = np.linspace(0.0, 0.25, 10_001)
     deriv = _ck_half_derivative(grid, lam, k)
@@ -140,7 +149,18 @@ def make_ck_variant(lam: float, k: int) -> AlphaProfile:
             f"lambda={lam} breaks monotonicity: derivative {deriv[worst]:.6g} "
             f"at u={grid[worst]:.6g}"
         )
-    return AlphaProfile(family="ck", turns=1.0, lam=float(lam), k=int(k))
+    return AlphaProfile(family="ck", turns=1.0, lam=lam, k=k)
+
+
+def _sample_table(samples) -> tuple[tuple[float, float], ...]:
+    """A sample table as float pairs: a non-empty sequence of [u, v] pairs of finite numbers."""
+    if not (isinstance(samples, (list, tuple)) and samples):
+        raise ValueError(f"sample table must be a non-empty list of [u, v] pairs, got {samples}")
+    for i, pair in enumerate(samples):
+        if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
+            raise ValueError(f"sample table entry {i} must be a [u, v] pair, got {pair}")
+    return tuple((finite(f"sample table entry {i}", u), finite(f"sample table entry {i}", v))
+                 for i, (u, v) in enumerate(samples))
 
 
 def make_custom(samples: Sequence[Sequence[float]]) -> AlphaProfile:
@@ -150,18 +170,10 @@ def make_custom(samples: Sequence[Sequence[float]]) -> AlphaProfile:
     v = 1; a (0, 0) anchor is prepended when missing.  Violations are hard
     errors.
     """
-    pts = [(float(u), float(v)) for u, v in samples]
-    if not pts:
-        raise ValueError("custom profile needs at least one sample")
-    for i, p in enumerate(pts):
-        if not all(map(math.isfinite, p)):
-            raise ValueError(
-                f"sample table entries must be finite numbers, got {list(p)} at index {i}"
-            )
-    if pts[0][0] > 0.0 or pts[0][1] > 0.0:
-        pts.insert(0, (0.0, 0.0))
-    u = np.array([p[0] for p in pts])
-    v = np.array([p[1] for p in pts])
+    table = _sample_table(samples)
+    if table[0][0] > 0.0 or table[0][1] > 0.0:
+        table = ((0.0, 0.0), *table)
+    u, v = np.array(table).T.copy()
     if np.any(np.diff(u) <= 0.0):
         i = int(np.argmin(np.diff(u)))
         raise ValueError(f"sample u values must increase strictly (violation near index {i})")
@@ -179,7 +191,8 @@ class CurveSpec:
     """Declarative description of one symbol: family, parameters, part count.
 
     ``samples`` (for the custom family) is a tuple of (u, v) pairs so the
-    spec stays hashable; ``lam`` appears as "lambda" in JSON.
+    spec stays hashable; ``lam`` appears as "lambda" in JSON.  A family refuses
+    a parameter it does not take (FAMILY_PARAMS); the profile is built once.
     """
 
     family: str
@@ -192,31 +205,31 @@ class CurveSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}, expected one of {FAMILIES}")
-        if not (isinstance(self.parts, int) and self.parts >= 2):
-            raise ValueError(f"parts must be an integer >= 2, got {self.parts}")
-        for name, value in (("turns", self.turns), ("lambda", self.lam)):
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be a finite number, got {value}")
-        if self.family in ("sine", "ck") and self.turns != 1.0:
-            raise ValueError(f"{self.family} family is one-turn only, got turns={self.turns}")
-        if self.family == "custom" and not self.samples:
-            raise ValueError("custom family requires a sample table")
-        if self.samples is not None:
-            object.__setattr__(
-                self, "samples", tuple((float(u), float(v)) for u, v in self.samples)
-            )
-        if self.family == "custom":
-            # the table defines the turn count (domain end = turns/2)
-            table_turns = 2.0 * self.samples[-1][0]
-            if self.turns != 1.0 and abs(self.turns - table_turns) > 1e-9:
-                raise ValueError(
-                    f"sample table spans turns={table_turns}, spec says turns={self.turns}"
-                )
-            object.__setattr__(self, "turns", table_turns)
-        _profile_for(self)  # enforce family parameter ranges eagerly
+        check_parts(self.parts)
+        object.__setattr__(self, "turns", finite("turns", self.turns))
+        takes = FAMILY_PARAMS[self.family]
+        for name, value in (("lambda", self.lam), ("k", self.k), ("samples", self.samples)):
+            if (value is None) == (name in takes):
+                verb = "requires" if value is None else "takes no"
+                raise ValueError(f"{self.family} family {verb} {name}")
+        if self.family == "fermat":
+            profile = make_fermat(self.turns)
+        elif self.family == "sine":
+            profile = make_sine_variant(self.lam)
+        elif self.family == "ck":
+            profile = make_ck_variant(self.lam, self.k)
+        else:
+            object.__setattr__(self, "samples", _sample_table(self.samples))
+            profile = make_custom(self.samples)
+        # sine and ck span one turn and a table its own count; turns=1 takes the profile's
+        if self.turns != 1.0 and abs(self.turns - profile.turns) > 1e-9:
+            raise ValueError(f"{self.family} profile spans turns={profile.turns}, not {self.turns}")
+        object.__setattr__(self, "turns", profile.turns)
+        object.__setattr__(self, "lam", profile.lam)
+        object.__setattr__(self, "_profile", profile)
 
     def alpha_profile(self) -> AlphaProfile:
-        return _profile_for(self)
+        return self._profile
 
     def to_json(self) -> dict:
         out: dict = {"family": self.family, "turns": self.turns, "parts": self.parts}
@@ -230,30 +243,14 @@ class CurveSpec:
 
     @classmethod
     def from_json(cls, data: dict) -> "CurveSpec":
-        samples = data.get("samples")
         return cls(
-            family=data["family"],
-            turns=float(data.get("turns", 1.0)),
-            lam=None if data.get("lambda") is None else float(data["lambda"]),
-            k=None if data.get("k") is None else int(data["k"]),
-            parts=int(data.get("parts", 2)),
-            samples=None if samples is None else tuple((float(u), float(v)) for u, v in samples),
+            family=data.get("family"),
+            turns=data.get("turns", 1.0),
+            lam=data.get("lambda"),
+            k=data.get("k"),
+            parts=data.get("parts", 2),
+            samples=data.get("samples"),
         )
-
-
-@lru_cache(maxsize=64)
-def _profile_for(spec: CurveSpec) -> AlphaProfile:
-    if spec.family == "fermat":
-        return make_fermat(spec.turns)
-    if spec.family == "sine":
-        if spec.lam is None:
-            raise ValueError("sine family requires lambda")
-        return make_sine_variant(spec.lam)
-    if spec.family == "ck":
-        if spec.lam is None or spec.k is None:
-            raise ValueError("ck family requires lambda and k")
-        return make_ck_variant(spec.lam, spec.k)
-    return make_custom(spec.samples)
 
 
 def section(spec: CurveSpec, v: float) -> CircleSet:

@@ -19,9 +19,27 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 
 TWO_PI = 2.0 * math.pi
 DISK_RADIUS = 1.0 / math.sqrt(math.pi)  # radius of the unit-area disk
+
+#: Most congruent parts of one symbol; work grows linearly with the count.
+MAX_PARTS = 1_000
+
+
+def finite(name: str, value) -> float:
+    """``value`` as a float; a bool, a non-number, NaN or an infinity raises ValueError."""
+    # float first: arc algebra builds many arcs, and the Real check alone costs about 1 us
+    if isinstance(value, bool) or not isinstance(value, (float, Real)) or not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite number, got {value}")
+    return float(value)
+
+
+def check_parts(value) -> None:
+    """Raise ValueError unless ``value`` is a part count: an int, not a bool, in [2, MAX_PARTS]."""
+    if isinstance(value, bool) or not isinstance(value, int) or not 2 <= value <= MAX_PARTS:
+        raise ValueError(f"parts must be an integer in [2, {MAX_PARTS}], got {value}")
 
 
 def mod1(x: float) -> float:

@@ -17,9 +17,11 @@ making the output byte-stable for a given configuration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
+
+from .geometry import check_parts, finite
 
 _FMT_ZERO = 5e-7  # snap tiny magnitudes so -0.000000 never appears
 
@@ -58,21 +60,19 @@ class RenderConfig:
 
     def __post_init__(self):
         for name in ("turn", "radius_px", "rotate_deg", "stroke_width_px", "interpol"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be a finite number, got {value}")
-        if not self.turn > 0:
-            raise ValueError(f"turn must be positive, got {self.turn}")
-        if not self.radius_px > 0:
-            raise ValueError(f"radius_px must be positive, got {self.radius_px}")
-        if not (isinstance(self.parts, int) and self.parts >= 2):
-            raise ValueError(f"parts must be an integer >= 2, got {self.parts}")
-        if self.interpol is not None and not self.interpol > 0:
-            raise ValueError(f"interpol must be positive, got {self.interpol}")
+            if name == "interpol" and self.interpol is None:
+                continue  # the default step follows turn
+            value = finite(name, getattr(self, name))
+            if name != "rotate_deg" and not value > 0:
+                raise ValueError(f"{name} must be positive, got {value}")
+            object.__setattr__(self, name, value)
+        check_parts(self.parts)
+        if not isinstance(self.clockwise, bool):
+            raise ValueError(f"clockwise must be true or false, got {self.clockwise}")
         spiral_steps(self.effective_interpol)
-        if not self.stroke_width_px > 0:
-            raise ValueError(f"stroke_width_px must be positive, got {self.stroke_width_px}")
-        object.__setattr__(self, "dark", tuple(float(c) for c in self.dark))
+        if not (isinstance(self.dark, (tuple, list)) and len(self.dark) == 3):
+            raise ValueError(f"dark must hold three numbers r, g, b, got {self.dark}")
+        object.__setattr__(self, "dark", tuple(finite("dark", c) for c in self.dark))
         if any(not 0.0 <= c <= 1.0 for c in self.dark):
             raise ValueError(f"dark components must lie in [0, 1], got {self.dark}")
 
@@ -81,30 +81,16 @@ class RenderConfig:
         return self.interpol if self.interpol is not None else default_interpol(self.turn)
 
     def to_json(self) -> dict:
-        return {
-            "turn": self.turn,
-            "radius_px": self.radius_px,
-            "rotate_deg": self.rotate_deg,
-            "clockwise": self.clockwise,
-            "parts": self.parts,
-            "dark": list(self.dark),
-            "stroke_width_px": self.stroke_width_px,
-            "interpol": self.interpol,
-        }
+        return {**asdict(self), "dark": list(self.dark)}
 
     @classmethod
     def from_json(cls, data: dict) -> "RenderConfig":
-        kwargs = {}
-        for key in ("turn", "radius_px", "rotate_deg", "stroke_width_px", "interpol"):
-            if data.get(key) is not None:
-                kwargs[key] = float(data[key])
-        if "clockwise" in data:
-            kwargs["clockwise"] = bool(data["clockwise"])
-        if "parts" in data:
-            kwargs["parts"] = int(data["parts"])
-        if "dark" in data:
-            kwargs["dark"] = tuple(float(c) for c in data["dark"])
-        return cls(**kwargs)
+        """A config from a JSON object keyed by field name; a null value keeps the default."""
+        names = [f.name for f in fields(cls)]
+        if not (isinstance(data, dict) and set(data) <= set(names)):
+            raise ValueError(f"a render configuration must be a JSON object with keys from "
+                             f"{', '.join(names)}; got {data}")
+        return cls(**{key: value for key, value in data.items() if value is not None})
 
 
 @dataclass(frozen=True)

@@ -46,13 +46,13 @@ Relation residuals (ids are the report keys):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import __version__
 from .curves import AlphaProfile, CurveSpec, branch_polylines, polyline_turning_angles
-from .geometry import mod1
+from .geometry import finite, mod1
 
 AXIOM_IDS = ("A1", "A2", "A3", "A3''", "A4", "A5")
 
@@ -356,12 +356,8 @@ def check_axioms(
     which is 1e-6 for closed-form families and 1e-4 for sampled tables
     (interpolation error dominates there); an override must be finite and >= 0.
     """
-    if flatness_tolerance is not None and not (
-        math.isfinite(flatness_tolerance) and flatness_tolerance >= 0.0
-    ):
-        raise ValueError(
-            f"flatness tolerance must be a finite number >= 0, got {flatness_tolerance}"
-        )
+    if flatness_tolerance is not None and finite("flatness tolerance", flatness_tolerance) < 0:
+        raise ValueError(f"flatness tolerance must be >= 0, got {flatness_tolerance}")
     profile = spec.alpha_profile()
     notes: list[str] = []
     axioms: dict[str, AxiomVerdict] = {}
@@ -531,13 +527,7 @@ class OracleEstimate:
     g: float
 
     def to_json(self) -> dict:
-        return {
-            "value": self.value,
-            "stderr": self.stderr,
-            "samples": self.samples,
-            "seed": self.seed,
-            "g": self.g,
-        }
+        return asdict(self)
 
 
 def monte_carlo_overlap(
@@ -552,11 +542,9 @@ def monte_carlo_overlap(
     """
     if not 1 <= samples <= MAX_MC_SAMPLES:
         raise ValueError(f"need 1 to {MAX_MC_SAMPLES} samples, got {samples}")
-    if not math.isfinite(g):
-        raise ValueError(f"reflection axis g must be a finite number, got {g}")
+    g = mod1(finite("reflection axis g", g))
     profile = spec.alpha_profile()
     length = 1.0 / spec.parts
-    g = mod1(float(g))
     rng = np.random.default_rng(seed)
     hits = 0
     remaining = samples

@@ -332,3 +332,22 @@ def test_json_round_trip():
     s = CircleSet.from_arcs([(0.9, 0.2), (0.4, 0.1)])
     t = CircleSet.from_json(json.loads(json.dumps(s.to_json())))
     assert t == s
+
+
+@pytest.mark.parametrize(
+    "text, match",
+    [
+        ("[[NaN, 0.5]]", "arc start must be a finite number"),
+        ("[[Infinity, 0.25], [0.5, 0.1]]", "arc start must be a finite number"),
+        ("[[true, 0.5]]", "arc start must be a finite number"),
+        ('[["0.5", 0.1]]', "arc start must be a finite number"),
+        ("[[0.1, true]]", "arc length must be a finite number"),
+        ("[[0.1, -Infinity]]", "arc length must be a finite number"),
+        ("[[0.0, 0.5, 1.0]]", "circle set must be a JSON list"),
+        ('{"arcs": [[0.0, 0.5]]}', "circle set must be a JSON list"),
+        ("[0.5]", "circle set must be a JSON list"),
+    ],
+)
+def test_from_json_rejects_malformed_sets(text, match):
+    with pytest.raises(ValueError, match=match):
+        CircleSet.from_json(json.loads(text))

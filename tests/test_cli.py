@@ -8,6 +8,9 @@ import pytest
 
 from yinyang import cli
 from yinyang.cli import run
+from yinyang.curves import MAX_TURNS
+from yinyang.geometry import MAX_PARTS
+from yinyang.render import RenderConfig, render
 from yinyang.verify import MAX_G_GRID, MAX_MC_SAMPLES, MAX_V_QUADRATURE
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -257,3 +260,126 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "render presets" in proc.stdout
+
+
+# -- malformed outside input: exit 2, a message naming the field, no traceback ----------
+
+
+def _assert_usage_error(argv, field, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and field in captured.err, captured.err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize(
+    "text, field",
+    [
+        ('{"dark": 5}', "dark"),
+        ('{"dark": [0.1, 0.2]}', "dark"),
+        ('{"dark": [null, 0, 0]}', "dark"),
+        ('{"turn": [1]}', "turn"),
+        ('{"turn": true}', "turn"),
+        ('{"radius_px": "200"}', "radius_px"),
+        ("[1, 2]", "render configuration"),
+        ('{"clockwise": "no"}', "clockwise"),
+        ('{"parts": 2.7}', "parts"),
+        ('{"rotate": 10}', "rotate_deg"),  # unknown key: the message lists the allowed ones
+    ],
+)
+def test_render_config_file_rejects_malformed(text, field, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    out = tmp_path / "x.svg"
+    _assert_usage_error(["render", "--config", str(cfg), "--out", str(out)], field, capsys)
+    assert not out.exists()
+
+
+def test_render_config_null_keeps_default(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"parts": null, "turn": null, "interpol": null}')
+    out = tmp_path / "x.svg"
+    assert run(["render", "--config", str(cfg), "--out", str(out)]) == 0
+    assert out.read_text() == render(RenderConfig()).to_xml()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[1, 2]",
+        "[[null, 1]]",
+        '{"samples": 5}',
+        '"ab"',
+        "[[true, 0.5], [0.5, 1.0]]",
+        '[["0.25", 0.5], [0.5, 1.0]]',
+        "[[0.25, 0.5, 1.0], [0.5, 1.0]]",
+    ],
+)
+def test_sample_table_file_rejects_malformed(text, tmp_path, capsys):
+    table = tmp_path / "table.json"
+    table.write_text(text)
+    argv = ["verify", "--family", "custom", "--samples", str(table), *FAST_VERIFY]
+    _assert_usage_error(argv, "sample table", capsys)
+
+
+@pytest.mark.parametrize(
+    "flags, field",
+    [
+        (["--family", "fermat", "--samples", str(FIXTURES / "bad_alpha.json")], "samples"),
+        (["--family", "fermat", "--lambda", "0.3"], "lambda"),
+        (["--family", "fermat", "--k", "1"], "k"),
+        (["--family", "sine", "--lambda", "0.1", "--k", "2"], "k"),
+        (["--family", "sine", "--lambda", "0.1", "--samples", str(FIXTURES / "bad_alpha.json")],
+         "samples"),
+        (["--family", "ck", "--lambda", "1", "--k", "1", "--samples",
+          str(FIXTURES / "bad_alpha.json")], "samples"),
+        (["--family", "custom", "--samples", str(FIXTURES / "bad_alpha.json"), "--lambda", "0.1"],
+         "lambda"),
+        (["--family", "custom", "--samples", str(FIXTURES / "bad_alpha.json"), "--k", "1"], "k"),
+    ],
+)
+@pytest.mark.parametrize("command", ["verify", "oracle"])
+def test_family_refuses_parameters_it_does_not_take(command, flags, field, capsys):
+    extra = FAST_VERIFY if command == "verify" else ["--g", "0.3", "--mc-samples", "100"]
+    _assert_usage_error([command, *flags, *extra], f"takes no {field}", capsys)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--turns=1e300", *FAST_VERIFY],
+        ["verify", "--turns=1e-308", *FAST_VERIFY],
+        ["verify", "--turns=1e16", *FAST_VERIFY],
+        ["verify", f"--turns={2 * MAX_TURNS}", *FAST_VERIFY],
+        ["oracle", "--turns=1e300", "--g", "0.3", "--mc-samples", "100"],
+        ["verify", "--family", "custom", "--samples", "TABLE", *FAST_VERIFY],
+    ],
+)
+def test_turns_out_of_range_exit_two(argv, tmp_path, capsys):
+    table = tmp_path / "table.json"
+    table.write_text("[[1e-9, 1.0]]")  # spans 2e-9 turns
+    _assert_usage_error([str(table) if a == "TABLE" else a for a in argv], "turns", capsys)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", f"--parts={MAX_PARTS + 1}", *FAST_VERIFY],
+        ["oracle", f"--parts={MAX_PARTS + 1}", "--g", "0.3", "--mc-samples", "100"],
+        ["render", f"--parts={MAX_PARTS + 1}"],
+        ["render", "--config", "CONFIG"],
+    ],
+)
+def test_parts_over_cap_exit_two(argv, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"parts": MAX_PARTS + 1}))
+    out = tmp_path / "x.svg"
+    argv = [str(cfg) if a == "CONFIG" else a for a in argv]
+    if argv[0] == "render":
+        argv += ["--out", str(out)]
+    _assert_usage_error(argv, "parts", capsys)
+    assert not out.exists()
