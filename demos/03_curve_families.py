@@ -9,14 +9,14 @@ it too, and generic profiles do not.
 
 import numpy as np
 
-from yinyang import CurveSpec, make_ck_variant, make_custom, make_fermat, make_sine_variant
+from yinyang import Ck, CurveSpec, Fermat, Sine, Table
 from yinyang import beta_polyline, relation_residual, section
 
 profiles = {
-    "fermat (1 turn)": make_fermat(1.0),
-    "sine lam=0.1": make_sine_variant(0.1),
-    "ck lam=1 k=2": make_ck_variant(1.0, 2),
-    "table 4u^2": make_custom([(u, 4 * u * u) for u in np.linspace(0, 0.5, 801)]),
+    "fermat (1 turn)": Fermat(1.0),
+    "sine lam=0.1": Sine(0.1),
+    "ck lam=1 k=2": Ck(1.0, 2),
+    "table 4u^2": Table([(u, 4 * u * u) for u in np.linspace(0, 0.5, 801)]),
 }
 
 print("quarter-shift residual sup |alpha(u+1/4) - alpha(u) - 1/2|:")
@@ -40,7 +40,7 @@ for p in pts[:8]:
 
 print()
 print("invalid parameters are rejected:")
-for build in (lambda: make_sine_variant(0.3), lambda: make_ck_variant(10.0, 0)):
+for build in (lambda: Sine(0.3), lambda: Ck(10.0, 0)):
     try:
         build()
     except ValueError as exc:

@@ -9,7 +9,7 @@ Modules
 -------
 geometry      disk/cylinder coordinates and the transform between them
 circle_sets   exact unions of circle arcs, reflection overlaps, profiles
-curves        spiral families (Fermat, sine variant, C^k variant, tables)
+curves        one profile type per spiral family: Fermat, Sine, Ck, Table
 verify        axiom checks, relation residuals, Monte-Carlo cross-check
 render        deterministic SVG output of the symbols
 cli           the ``yy`` command-line tool
@@ -20,13 +20,13 @@ __version__ = "0.1.0"
 from .circle_sets import Arc, CircleSet, OverlapProfile
 from .curves import (
     AlphaProfile,
+    Ck,
     CurveSpec,
+    Fermat,
+    Sine,
+    Table,
     beta_polyline,
     contains,
-    make_ck_variant,
-    make_custom,
-    make_fermat,
-    make_sine_variant,
     section,
 )
 from .geometry import (
@@ -56,13 +56,13 @@ __all__ = [
     "CircleSet",
     "OverlapProfile",
     "AlphaProfile",
+    "Ck",
     "CurveSpec",
+    "Fermat",
+    "Sine",
+    "Table",
     "beta_polyline",
     "contains",
-    "make_ck_variant",
-    "make_custom",
-    "make_fermat",
-    "make_sine_variant",
     "section",
     "CirclePoint",
     "CylinderPoint",

@@ -52,6 +52,15 @@ def _add_curve_flags(parser: argparse.ArgumentParser) -> None:
                         help="JSON sample table [[u, v], ...] for the custom family")
 
 
+def _read_json(path: Path):
+    """The JSON document in a file; nesting too deep to parse is a ValueError naming the file."""
+    text = path.read_text()
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nesting too deep to read") from None
+
+
 def _spec_from_args(args: argparse.Namespace) -> CurveSpec:
     return CurveSpec(
         family=args.family,
@@ -59,7 +68,7 @@ def _spec_from_args(args: argparse.Namespace) -> CurveSpec:
         lam=args.lam,
         k=args.k,
         parts=args.parts,
-        samples=None if args.samples is None else json.loads(args.samples.read_text()),
+        samples=None if args.samples is None else _read_json(args.samples),
     )
 
 
@@ -92,6 +101,7 @@ def _emit(text: str, out: Path | None) -> None:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
+    rc = None if args.q_max is None else rotation_check(spec, q_max=args.q_max)
     report = check_axioms(
         spec,
         g_grid=args.g_grid,
@@ -101,8 +111,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     )
     doc = report.to_json()
     ok = report.all_passed(_parse_axioms(args.axioms))
-    if args.q_max is not None:
-        rc = rotation_check(spec, q_max=args.q_max)
+    if rc is not None:
         doc["rotation"] = rc.to_json()
         ok = ok and rc.passed
     _emit(_dumps(doc), args.out)
@@ -130,7 +139,7 @@ def _color(text: str) -> tuple[float, ...]:
 
 def _render_config_from_args(args: argparse.Namespace) -> RenderConfig:
     if args.config is not None:
-        config = RenderConfig.from_json(json.loads(args.config.read_text()))
+        config = RenderConfig.from_json(_read_json(args.config))
     elif args.preset is not None:
         if args.preset not in RENDER_PRESETS:
             raise ValueError(

@@ -7,25 +7,26 @@ becomes the graph of a strictly increasing function
     v = alpha(u),   0 < u <= turns/2,   alpha(turns/2) = 1,  alpha(0+) = 0,
 
 and the whole symbol is determined by alpha, the turn count and the number
-of congruent parts.  Families:
+of congruent parts.  Each family is one subclass of :class:`AlphaProfile`:
 
-* ``fermat``  -- alpha(u) = (2/turns) * u.  One turn gives the line v = 2u,
-  whose disk preimage is the spiral pi^2 r^2 = phi; two turns give
-  2 pi^2 r^2 = phi.
-* ``sine``    -- alpha(u) = 2u + (lam/pi) sin(8 pi u), one turn,
+* ``fermat``, ``Fermat(turns)`` -- alpha(u) = (2/turns) * u.  One turn gives
+  the line v = 2u, whose disk preimage is the spiral pi^2 r^2 = phi; two
+  turns give 2 pi^2 r^2 = phi.
+* ``sine``, ``Sine(lam)`` -- alpha(u) = 2u + (lam/pi) sin(8 pi u), one turn,
   0 < lam < 1/4.  Satisfies the quarter-shift relation
   alpha(u + 1/4) = alpha(u) + 1/2 exactly.
-* ``ck``      -- one turn, alpha = f with
+* ``ck``, ``Ck(lam, k)`` -- one turn, alpha = f with
   f(u) = 2u + lam * u^(k+1) (1/4 - u)^(k+1) on [0, 1/4] and
   f(u) = 1/2 + f(u - 1/4) on [1/4, 1/2]; k times continuously
   differentiable at the seam.  lam must keep f strictly increasing,
   which is validated on a dense grid at construction.
-* ``custom``  -- a monotone sample table, interpolated piecewise-linearly.
+* ``custom``, ``Table(samples)`` -- a monotone sample table, interpolated linearly.
 """
 
 from __future__ import annotations
 
 import math
+from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -34,10 +35,6 @@ import numpy as np
 from .circle_sets import CircleSet
 from .geometry import DiskPoint, check_parts, disk_to_cylinder, finite, mod1
 
-#: The parameters each family takes besides turns and parts; it refuses the others.
-FAMILY_PARAMS = {"fermat": (), "sine": ("lambda",), "ck": ("lambda", "k"), "custom": ("samples",)}
-FAMILIES = tuple(FAMILY_PARAMS)
-
 #: Turn counts lie in [1/MAX_TURNS, MAX_TURNS]; at MAX_TURNS the A4 tent centres
 #: (2t + L) mod 1 still resolve to about 1e-10.
 MAX_TURNS = 1e6
@@ -45,25 +42,19 @@ MAX_TURNS = 1e6
 _INVERSE_BISECTIONS = 64  # enough to exhaust float64 resolution on (0, turns/2]
 
 
-@dataclass(frozen=True, eq=False)
-class AlphaProfile:
+class AlphaProfile(ABC):
     """Height profile v = alpha(u) of one spiral branch on the cylinder.
 
     ``evaluate`` and ``inverse`` accept scalars or numpy arrays.  The
     profile is strictly increasing from 0 (exclusive) at u -> 0 to 1 at
-    u = domain_end = turns/2.
+    u = domain_end = turns/2.  A family gives the formula ``_alpha`` and may
+    replace the bisection ``_inverse`` by a closed form.
     """
 
-    family: str
-    turns: float
-    lam: float | None = None
-    k: int | None = None
-    u_table: np.ndarray | None = None
-    v_table: np.ndarray | None = None
-
-    def __post_init__(self):
-        if not 1.0 / MAX_TURNS <= self.turns <= MAX_TURNS:
-            raise ValueError(f"turns {self.turns} lies outside [{1 / MAX_TURNS:g}, {MAX_TURNS:g}]")
+    def __init__(self, turns: float):
+        if not 1.0 / MAX_TURNS <= turns <= MAX_TURNS:
+            raise ValueError(f"turns {turns} lies outside [{1 / MAX_TURNS:g}, {MAX_TURNS:g}]")
+        self.turns = turns
 
     @property
     def domain_end(self) -> float:
@@ -71,16 +62,7 @@ class AlphaProfile:
 
     def evaluate(self, u):
         scalar = np.ndim(u) == 0
-        u = np.asarray(u, dtype=float)
-        if self.family == "fermat":
-            out = (2.0 / self.turns) * u
-        elif self.family == "sine":
-            out = 2.0 * u + (self.lam / math.pi) * np.sin(8.0 * math.pi * u)
-        elif self.family == "ck":
-            out = np.where(u <= 0.25, _ck_half(u, self.lam, self.k),
-                           0.5 + _ck_half(u - 0.25, self.lam, self.k))
-        else:
-            out = np.interp(u, self.u_table, self.v_table)
+        out = self._alpha(np.asarray(u, dtype=float))
         return float(out) if scalar else out
 
     def inverse(self, v):
@@ -89,67 +71,79 @@ class AlphaProfile:
         v = np.asarray(v, dtype=float)
         if np.any(v < 0.0) or np.any(v > 1.0 + 1e-12):
             raise ValueError("inverse argument must lie in (0, 1]")
-        if self.family == "fermat":
-            out = (self.turns / 2.0) * v
-        elif self.family == "custom":
-            out = np.interp(v, self.v_table, self.u_table)
-        else:
-            out = _bisect_inverse(self.evaluate, v, self.domain_end)
+        out = self._inverse(v)
         return float(out) if scalar else out
 
+    @abstractmethod
+    def _alpha(self, u: np.ndarray) -> np.ndarray:
+        """alpha(u) on an array of u."""
 
-def _ck_half(u, lam: float, k: int):
-    return 2.0 * u + lam * u ** (k + 1) * (0.25 - u) ** (k + 1)
-
-
-def _ck_half_derivative(u, lam: float, k: int):
-    return 2.0 + lam * (k + 1) * u**k * (0.25 - u) ** k * (0.25 - 2.0 * u)
-
-
-def _bisect_inverse(fn, v: np.ndarray, domain_end: float) -> np.ndarray:
-    lo = np.zeros_like(v)
-    hi = np.full_like(v, domain_end)
-    for _ in range(_INVERSE_BISECTIONS):
-        mid = 0.5 * (lo + hi)
-        below = fn(mid) < v
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    return 0.5 * (lo + hi)
+    def _inverse(self, v: np.ndarray) -> np.ndarray:
+        lo = np.zeros_like(v)
+        hi = np.full_like(v, self.domain_end)
+        for _ in range(_INVERSE_BISECTIONS):
+            mid = 0.5 * (lo + hi)
+            below = self.evaluate(mid) < v
+            lo = np.where(below, mid, lo)
+            hi = np.where(below, hi, mid)
+        return 0.5 * (lo + hi)
 
 
-def make_fermat(turns: float) -> AlphaProfile:
+class Fermat(AlphaProfile):
     """Linear profile alpha(u) = (2/turns) u for the turns-turn spiral."""
-    return AlphaProfile(family="fermat", turns=finite("turns", turns))
+
+    def __init__(self, turns: float):
+        super().__init__(finite("turns", turns))
+
+    def _alpha(self, u):
+        return (2.0 / self.turns) * u
+
+    def _inverse(self, v):
+        return (self.turns / 2.0) * v
 
 
-def make_sine_variant(lam: float) -> AlphaProfile:
+class Sine(AlphaProfile):
     """One-turn profile 2u + (lam/pi) sin(8 pi u); requires 0 < lam < 1/4."""
-    lam = finite("lambda", lam)
-    if not 0.0 < lam < 0.25:
-        raise ValueError(f"sine variant requires 0 < lambda < 1/4, got {lam}")
-    return AlphaProfile(family="sine", turns=1.0, lam=lam)
+
+    def __init__(self, lam: float):
+        super().__init__(1.0)
+        self.lam = finite("lambda", lam)
+        if not 0.0 < self.lam < 0.25:
+            raise ValueError(f"sine variant requires 0 < lambda < 1/4, got {self.lam}")
+
+    def _alpha(self, u):
+        return 2.0 * u + (self.lam / math.pi) * np.sin(8.0 * math.pi * u)
 
 
-def make_ck_variant(lam: float, k: int) -> AlphaProfile:
+class Ck(AlphaProfile):
     """One-turn piecewise-polynomial profile, k times differentiable at u=1/4.
 
     Rejects lam values for which the first half loses monotonicity; the
     error message reports a witness u with non-positive derivative.
     """
-    lam = finite("lambda", lam)
-    if not lam > 0:
-        raise ValueError(f"ck variant requires lambda > 0, got {lam}")
-    if isinstance(k, bool) or not (isinstance(k, int) and k >= 0):
-        raise ValueError(f"smoothness order k must be a non-negative integer, got {k}")
-    grid = np.linspace(0.0, 0.25, 10_001)
-    deriv = _ck_half_derivative(grid, lam, k)
-    worst = int(np.argmin(deriv))
-    if deriv[worst] <= 0.0:
-        raise ValueError(
-            f"lambda={lam} breaks monotonicity: derivative {deriv[worst]:.6g} "
-            f"at u={grid[worst]:.6g}"
-        )
-    return AlphaProfile(family="ck", turns=1.0, lam=lam, k=k)
+
+    def __init__(self, lam: float, k: int):
+        super().__init__(1.0)
+        lam = finite("lambda", lam)
+        if not lam > 0:
+            raise ValueError(f"ck variant requires lambda > 0, got {lam}")
+        if isinstance(k, bool) or not (isinstance(k, int) and k >= 0):
+            raise ValueError(f"smoothness order k must be a non-negative integer, got {k}")
+        grid = np.linspace(0.0, 0.25, 10_001)
+        deriv = 2.0 + lam * (k + 1) * grid**k * (0.25 - grid) ** k * (0.25 - 2.0 * grid)
+        worst = int(np.argmin(deriv))
+        if deriv[worst] <= 0.0:
+            raise ValueError(
+                f"lambda={lam} breaks monotonicity: derivative {deriv[worst]:.6g} "
+                f"at u={grid[worst]:.6g}"
+            )
+        self.lam, self.k = lam, k
+
+    def _half(self, u):
+        return 2.0 * u + self.lam * u ** (self.k + 1) * (0.25 - u) ** (self.k + 1)
+
+    def _alpha(self, u):
+        return np.where(u <= 0.25, self._half(u), 0.5 + self._half(u - 0.25))
 
 
 def _sample_table(samples) -> tuple[tuple[float, float], ...]:
@@ -163,27 +157,39 @@ def _sample_table(samples) -> tuple[tuple[float, float], ...]:
                  for i, (u, v) in enumerate(samples))
 
 
-def make_custom(samples: Sequence[Sequence[float]]) -> AlphaProfile:
+class Table(AlphaProfile):
     """Profile from a monotone (u, v) sample table, interpolated linearly.
 
     The table must be finite, strictly increasing in both coordinates and end at
     v = 1; a (0, 0) anchor is prepended when missing.  Violations are hard
-    errors.
+    errors.  ``samples`` keeps the table as given, as float pairs.
     """
-    table = _sample_table(samples)
-    if table[0][0] > 0.0 or table[0][1] > 0.0:
-        table = ((0.0, 0.0), *table)
-    u, v = np.array(table).T.copy()
-    if np.any(np.diff(u) <= 0.0):
-        i = int(np.argmin(np.diff(u)))
-        raise ValueError(f"sample u values must increase strictly (violation near index {i})")
-    if np.any(np.diff(v) <= 0.0):
-        i = int(np.argmin(np.diff(v)))
-        raise ValueError(f"sample v values must increase strictly (violation near index {i})")
-    if abs(v[-1] - 1.0) > 1e-9:
-        raise ValueError(f"profile must reach 1 at its last sample, got {v[-1]}")
-    v[-1] = 1.0
-    return AlphaProfile(family="custom", turns=2.0 * float(u[-1]), u_table=u, v_table=v)
+
+    def __init__(self, samples: Sequence[Sequence[float]]):
+        self.samples = table = _sample_table(samples)
+        if table[0][0] > 0.0 or table[0][1] > 0.0:
+            table = ((0.0, 0.0), *table)
+        u, v = np.array(table).T.copy()
+        for name, step in (("u", np.diff(u)), ("v", np.diff(v))):
+            if np.any(step <= 0.0):
+                raise ValueError(f"sample {name} values must increase strictly "
+                                 f"(violation near index {int(np.argmin(step))})")
+        if abs(v[-1] - 1.0) > 1e-9:
+            raise ValueError(f"profile must reach 1 at its last sample, got {v[-1]}")
+        v[-1] = 1.0
+        super().__init__(2.0 * float(u[-1]))
+        self._u, self._v = u, v
+
+    def _alpha(self, u):
+        return np.interp(u, self._u, self._v)
+
+    def _inverse(self, v):
+        return np.interp(v, self._v, self._u)
+
+
+#: Each family's profile type and the CurveSpec fields its constructor takes, in order.
+FAMILIES = {"fermat": (Fermat, ("turns",)), "sine": (Sine, ("lam",)),
+            "ck": (Ck, ("lam", "k")), "custom": (Table, ("samples",))}
 
 
 @dataclass(frozen=True)
@@ -192,7 +198,7 @@ class CurveSpec:
 
     ``samples`` (for the custom family) is a tuple of (u, v) pairs so the
     spec stays hashable; ``lam`` appears as "lambda" in JSON.  A family refuses
-    a parameter it does not take (FAMILY_PARAMS); the profile is built once.
+    a parameter it does not take (FAMILIES); the profile is built once.
     """
 
     family: str
@@ -204,28 +210,20 @@ class CurveSpec:
 
     def __post_init__(self):
         if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}, expected one of {FAMILIES}")
+            raise ValueError(f"unknown family {self.family!r}, expected one of {tuple(FAMILIES)}")
         check_parts(self.parts)
         object.__setattr__(self, "turns", finite("turns", self.turns))
-        takes = FAMILY_PARAMS[self.family]
-        for name, value in (("lambda", self.lam), ("k", self.k), ("samples", self.samples)):
-            if (value is None) == (name in takes):
-                verb = "requires" if value is None else "takes no"
+        kind, takes = FAMILIES[self.family]
+        for field, name in (("lam", "lambda"), ("k", "k"), ("samples", "samples")):
+            if (getattr(self, field) is None) == (field in takes):
+                verb = "requires" if field in takes else "takes no"
                 raise ValueError(f"{self.family} family {verb} {name}")
-        if self.family == "fermat":
-            profile = make_fermat(self.turns)
-        elif self.family == "sine":
-            profile = make_sine_variant(self.lam)
-        elif self.family == "ck":
-            profile = make_ck_variant(self.lam, self.k)
-        else:
-            object.__setattr__(self, "samples", _sample_table(self.samples))
-            profile = make_custom(self.samples)
+        profile = kind(*(getattr(self, field) for field in takes))
         # sine and ck span one turn and a table its own count; turns=1 takes the profile's
         if self.turns != 1.0 and abs(self.turns - profile.turns) > 1e-9:
             raise ValueError(f"{self.family} profile spans turns={profile.turns}, not {self.turns}")
-        object.__setattr__(self, "turns", profile.turns)
-        object.__setattr__(self, "lam", profile.lam)
+        for field in {"turns", *takes}:  # each value as the profile converted it
+            object.__setattr__(self, field, getattr(profile, field))
         object.__setattr__(self, "_profile", profile)
 
     def alpha_profile(self) -> AlphaProfile:

@@ -27,6 +27,8 @@ _FMT_ZERO = 5e-7  # snap tiny magnitudes so -0.000000 never appears
 
 #: Most sampling steps along the spiral, floor(1 / interpol) (the presets take 16).
 MAX_SPIRAL_STEPS = 100_000
+#: Most spiral steps times parts in one render: a render's cost grows with both.
+MAX_RENDER_STEPS = 2 * MAX_SPIRAL_STEPS
 
 
 def spiral_steps(interpol: float) -> int:
@@ -69,7 +71,12 @@ class RenderConfig:
         check_parts(self.parts)
         if not isinstance(self.clockwise, bool):
             raise ValueError(f"clockwise must be true or false, got {self.clockwise}")
-        spiral_steps(self.effective_interpol)
+        steps = spiral_steps(self.effective_interpol)
+        if steps * self.parts > MAX_RENDER_STEPS:
+            raise ValueError(
+                f"{steps} spiral steps times {self.parts} parts exceeds "
+                f"MAX_RENDER_STEPS = {MAX_RENDER_STEPS}; raise interpol or lower parts"
+            )
         if not (isinstance(self.dark, (tuple, list)) and len(self.dark) == 3):
             raise ValueError(f"dark must hold three numbers r, g, b, got {self.dark}")
         object.__setattr__(self, "dark", tuple(finite("dark", c) for c in self.dark))

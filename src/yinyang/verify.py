@@ -51,7 +51,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import __version__
-from .curves import AlphaProfile, CurveSpec, branch_polylines, polyline_turning_angles
+from .curves import AlphaProfile, CurveSpec, Table, branch_polylines, polyline_turning_angles
 from .geometry import finite, mod1
 
 AXIOM_IDS = ("A1", "A2", "A3", "A3''", "A4", "A5")
@@ -80,6 +80,8 @@ V_QUADRATURE = 100_000
 MAX_G_GRID = 65_536
 MAX_V_QUADRATURE = 2_000_001
 MAX_MC_SAMPLES = 10_000_000
+#: Largest rotation order of the rotation check; its report holds about 0.3 * q_max^2 integrals.
+MAX_Q = 1000
 
 
 def v_quadrature_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -364,7 +366,7 @@ def check_axioms(
 
     # A1: the parts are rotated copies of one branch by construction.
     detail = f"structural: {spec.parts} branches congruent by construction (rotated copies)"
-    if spec.family == "custom":
+    if isinstance(profile, Table):
         detail += "; table profiles can only describe spirals, so A1 is not independently checked"
     axioms["A1"] = AxiomVerdict(passed=True, detail=detail)
 
@@ -405,7 +407,7 @@ def check_axioms(
     # A4: flat reflection-overlap profile at 1/parts^2.
     if flatness_tolerance is None:
         flatness_tolerance = (
-            FLATNESS_TOL_TABLE if spec.family == "custom" else FLATNESS_TOL_CLOSED_FORM
+            FLATNESS_TOL_TABLE if isinstance(profile, Table) else FLATNESS_TOL_CLOSED_FORM
         )
     prof = perfect_profile(spec, g_grid=g_grid, v_quadrature=v_quadrature)
     axioms["A4"] = AxiomVerdict(
@@ -503,8 +505,8 @@ def rotation_check(spec: CurveSpec, q_max: int, *, tolerance: float = 1e-12) -> 
     is 0 for every spiral symbol, whose parts contain no rotation-symmetric
     subset.
     """
-    if q_max < 2:
-        raise ValueError(f"q_max must be >= 2, got {q_max}")
+    if not 2 <= q_max <= MAX_Q:
+        raise ValueError(f"q_max must lie in [2, {MAX_Q}], got {q_max}")
     length = 1.0 / spec.parts
     integrals = {
         f"{p}/{q}": single_arc_invariant_measure(length, q) for p, q in reduced_rotations(q_max)

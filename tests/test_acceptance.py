@@ -17,7 +17,7 @@ import pytest
 
 from yinyang.circle_sets import CircleSet
 from yinyang.cli import run
-from yinyang.curves import CurveSpec, make_ck_variant
+from yinyang.curves import Ck, CurveSpec
 from yinyang.render import RENDER_PRESETS, RenderConfig, render, spiral_points
 from yinyang.verify import (
     check_axioms,
@@ -80,7 +80,7 @@ def test_criterion_03_ck_variants_flat_and_reject():
     rejected = 0
     for k, lam in ((0, 10.0), (1, 2000.0), (2, 200_000.0)):
         with pytest.raises(ValueError, match="u="):
-            make_ck_variant(lam, k)
+            Ck(lam, k)
         rejected += 1
     ok = worst_dev <= 1e-6 and rejected == 3
     _report(3, ok, f"max flatness dev {worst_dev:.3e}; {rejected}/3 bad lambdas rejected with witness u")

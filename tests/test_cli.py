@@ -11,7 +11,7 @@ from yinyang.cli import run
 from yinyang.curves import MAX_TURNS
 from yinyang.geometry import MAX_PARTS
 from yinyang.render import RenderConfig, render
-from yinyang.verify import MAX_G_GRID, MAX_MC_SAMPLES, MAX_V_QUADRATURE
+from yinyang.verify import MAX_G_GRID, MAX_MC_SAMPLES, MAX_Q, MAX_V_QUADRATURE
 
 FIXTURES = Path(__file__).parent / "fixtures"
 FAST_VERIFY = ["--g-grid", "64", "--v-quad", "5001"]
@@ -382,4 +382,34 @@ def test_parts_over_cap_exit_two(argv, tmp_path, capsys):
     if argv[0] == "render":
         argv += ["--out", str(out)]
     _assert_usage_error(argv, "parts", capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--family", "custom", "--samples", "DEEP", *FAST_VERIFY],
+        ["render", "--config", "DEEP"],
+    ],
+)
+def test_deeply_nested_json_file_exits_two(argv, tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    argv = [str(deep) if a == "DEEP" else a for a in argv]
+    if argv[0] == "render":
+        argv += ["--out", str(tmp_path / "x.svg")]
+    _assert_usage_error(argv, str(deep), capsys)
+
+
+def test_q_max_over_cap_refused_before_any_work(monkeypatch, capsys):
+    def no_work(*args, **kwargs):
+        raise AssertionError("axiom checks ran")
+    monkeypatch.setattr(cli, "check_axioms", no_work)
+    _assert_usage_error(["verify", f"--q-max={MAX_Q + 1}"], "q_max", capsys)
+
+
+def test_render_steps_times_parts_capped(tmp_path, capsys):
+    out = tmp_path / "x.svg"
+    _assert_usage_error(["render", "--parts", "100", "--interpol", "1e-4", "--out", str(out)],
+                        "MAX_RENDER_STEPS", capsys)
     assert not out.exists()

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from yinyang.cli import run
-from yinyang.curves import FAMILIES, FAMILY_PARAMS, MAX_TURNS
+from yinyang.curves import FAMILIES, MAX_TURNS
 from yinyang.geometry import MAX_PARTS
 from yinyang.render import RENDER_PRESETS
 from yinyang.verify import MAX_G_GRID, MAX_MC_SAMPLES, MAX_V_QUADRATURE
@@ -105,12 +105,12 @@ def argvs(draw):
 
     argv = [command]
     if command in ("verify", "oracle"):
-        family = draw(st.sampled_from(FAMILIES))
-        takes = FAMILY_PARAMS[family] if valid else ("lambda", "k", "samples")
+        family = draw(st.sampled_from(list(FAMILIES)))
+        takes = FAMILIES[family][1] if valid else ("lam", "k", "samples")
         argv += ["--family", family]
         if family == "fermat" or not valid:
             argv += floats("--turns", 1.0 / MAX_TURNS, MAX_TURNS, above=2 * MAX_TURNS)
-        if "lambda" in takes:
+        if "lam" in takes:
             hi = 0.24 if family == "sine" else 4.0
             argv += floats("--lambda", 0.01, hi, optional=not valid)
         if "k" in takes:

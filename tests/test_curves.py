@@ -6,13 +6,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from yinyang.curves import (
+    MAX_TURNS,
+    AlphaProfile,
+    Ck,
     CurveSpec,
+    Fermat,
+    Sine,
+    Table,
     beta_polyline,
     contains,
-    make_ck_variant,
-    make_custom,
-    make_fermat,
-    make_sine_variant,
     section,
 )
 from yinyang.geometry import DISK_RADIUS, DiskPoint, cylinder_to_disk, CylinderPoint
@@ -30,40 +32,40 @@ def _profile_invariants(profile, tol=1e-9):
 
 
 def test_fermat_one_turn_is_line():
-    p = make_fermat(1.0)
+    p = Fermat(1.0)
     assert p.evaluate(0.25) == pytest.approx(0.5)
     assert p.evaluate(0.5) == pytest.approx(1.0)
 
 
 def test_fermat_two_turns_is_identity():
-    p = make_fermat(2.0)
+    p = Fermat(2.0)
     assert p.evaluate(0.5) == pytest.approx(0.5)
     assert p.evaluate(1.0) == pytest.approx(1.0)
 
 
 def test_fermat_quarter_shift_linearity():
-    p = make_fermat(1.0)
+    p = Fermat(1.0)
     u = np.linspace(1e-6, 0.25, 100)
     assert np.allclose(p.evaluate(u + 0.25) - p.evaluate(u), 0.5, atol=1e-12)
 
 
 def test_fermat_rejects_nonpositive_turns():
     with pytest.raises(ValueError):
-        make_fermat(0.0)
+        Fermat(0.0)
     with pytest.raises(ValueError):
-        make_fermat(-1.0)
+        Fermat(-1.0)
 
 
 def test_fermat_profile_invariants():
     for turns in (0.5, 1.0, 1.5, 2.0, 3.0):
-        _profile_invariants(make_fermat(turns))
+        _profile_invariants(Fermat(turns))
 
 
 # -- sine variant ---------------------------------------------------------------
 
 
 def test_sine_variant_values():
-    p = make_sine_variant(0.1)
+    p = Sine(0.1)
     assert p.evaluate(0.125) == pytest.approx(0.25, abs=1e-15)  # sine term vanishes
     u = np.linspace(1e-9, 0.25, 500)
     assert np.max(np.abs(p.evaluate(u + 0.25) - p.evaluate(u) - 0.5)) <= 1e-12
@@ -71,16 +73,16 @@ def test_sine_variant_values():
 
 def test_sine_variant_rejects_big_lambda():
     with pytest.raises(ValueError):
-        make_sine_variant(0.3)
+        Sine(0.3)
     with pytest.raises(ValueError):
-        make_sine_variant(0.0)
+        Sine(0.0)
     with pytest.raises(ValueError):
-        make_sine_variant(0.25)
+        Sine(0.25)
 
 
 @given(st.floats(0.001, 0.249))
 def test_sine_variant_profile_invariants(lam):
-    _profile_invariants(make_sine_variant(lam))
+    _profile_invariants(Sine(lam))
 
 
 # -- ck variant ------------------------------------------------------------------
@@ -88,38 +90,38 @@ def test_sine_variant_profile_invariants(lam):
 
 def test_ck_values_at_seam():
     for lam, k in ((1.0, 0), (1.0, 1), (2.0, 2)):
-        p = make_ck_variant(lam, k)
+        p = Ck(lam, k)
         assert p.evaluate(0.25) == pytest.approx(0.5, abs=1e-15)
         assert p.evaluate(0.5) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_ck_direct_substitution():
-    p = make_ck_variant(1.0, 0)
+    p = Ck(1.0, 0)
     assert p.evaluate(0.125) == pytest.approx(0.265625, abs=1e-15)
 
 
 def test_ck_quarter_shift():
     for lam, k in ((1.0, 0), (0.5, 1), (3.0, 2)):
-        p = make_ck_variant(lam, k)
+        p = Ck(lam, k)
         u = np.linspace(1e-9, 0.25, 500)
         assert np.max(np.abs(p.evaluate(u + 0.25) - p.evaluate(u) - 0.5)) <= 1e-12
 
 
 def test_ck_rejects_nonmonotone_lambda_with_witness():
     with pytest.raises(ValueError, match="u="):
-        make_ck_variant(10.0, 0)
+        Ck(10.0, 0)
     with pytest.raises(ValueError, match="monotonicity"):
-        make_ck_variant(2000.0, 1)
+        Ck(2000.0, 1)
 
 
 def test_ck_rejects_bad_k():
     with pytest.raises(ValueError):
-        make_ck_variant(1.0, -1)
+        Ck(1.0, -1)
 
 
 def test_ck_profile_invariants():
     for lam, k in ((1.0, 0), (1.0, 1), (1.0, 2), (7.9, 0)):
-        _profile_invariants(make_ck_variant(lam, k))
+        _profile_invariants(Ck(lam, k))
 
 
 # -- custom tables ------------------------------------------------------------------
@@ -131,7 +133,7 @@ def _quadratic_table(n=801):
 
 
 def test_custom_table_interpolates():
-    p = make_custom(_quadratic_table())
+    p = Table(_quadratic_table())
     assert p.evaluate(0.5) == pytest.approx(1.0)
     assert p.evaluate(0.25) == pytest.approx(0.25, abs=1e-5)
     assert p.turns == pytest.approx(1.0)
@@ -139,39 +141,73 @@ def test_custom_table_interpolates():
 
 def test_custom_table_validation():
     with pytest.raises(ValueError):
-        make_custom([])
+        Table([])
     with pytest.raises(ValueError, match="increase strictly"):
-        make_custom([(0.0, 0.0), (0.2, 0.5), (0.2, 0.7), (0.5, 1.0)])
+        Table([(0.0, 0.0), (0.2, 0.5), (0.2, 0.7), (0.5, 1.0)])
     with pytest.raises(ValueError, match="increase strictly"):
-        make_custom([(0.0, 0.0), (0.2, 0.6), (0.3, 0.5), (0.5, 1.0)])
+        Table([(0.0, 0.0), (0.2, 0.6), (0.3, 0.5), (0.5, 1.0)])
     with pytest.raises(ValueError, match="reach 1"):
-        make_custom([(0.0, 0.0), (0.5, 0.9)])
+        Table([(0.0, 0.0), (0.5, 0.9)])
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="sample table"):
-            make_custom([(0.1, bad), (0.25, 0.5), (0.5, 1.0)])
+            Table([(0.1, bad), (0.25, 0.5), (0.5, 1.0)])
         with pytest.raises(ValueError, match="sample table"):
-            make_custom([(0.1, 0.2), (bad, 0.5), (0.5, 1.0)])
+            Table([(0.1, 0.2), (bad, 0.5), (0.5, 1.0)])
 
 
 # -- inversion ------------------------------------------------------------------------
 
 
 def test_alpha_inverse_closed_forms():
-    assert make_fermat(1.0).inverse(0.5) == pytest.approx(0.25)
-    assert make_fermat(2.0).inverse(0.7) == pytest.approx(0.7)
+    assert Fermat(1.0).inverse(0.5) == pytest.approx(0.25)
+    assert Fermat(2.0).inverse(0.7) == pytest.approx(0.7)
 
 
 def test_alpha_inverse_round_trips():
-    sine = make_sine_variant(0.1)
+    sine = Sine(0.1)
     assert sine.inverse(sine.evaluate(0.2)) == pytest.approx(0.2, abs=1e-10)
-    ck = make_ck_variant(1.0, 1)
+    ck = Ck(1.0, 1)
     for u in (0.05, 0.2, 0.3, 0.45):
         v = ck.evaluate(u)
         assert ck.inverse(v) == pytest.approx(u, abs=1e-10)
         assert abs(ck.evaluate(ck.inverse(v)) - v) <= 1e-12
-    table = make_custom(_quadratic_table())
+    table = Table(_quadratic_table())
     for v in (0.1, 0.5, 0.9):
         assert table.evaluate(table.inverse(v)) == pytest.approx(v, abs=1e-12)
+
+
+# -- family types ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Fermat(0.0), "turns"),
+        (lambda: Sine(0.9), "lambda"),
+        (lambda: Ck(10.0, 0), "monotonicity"),
+        (lambda: Table([(0.1, 0.5), (0.2, 0.4), (0.5, 1.0)]), "increase strictly"),
+        (lambda: Table([(0.25, 0.5), (MAX_TURNS, 1.0)]), "turns"),
+    ],
+    ids=["fermat", "sine", "ck", "table-not-monotone", "table-too-many-turns"],
+)
+def test_family_types_refuse_bad_parameters(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_alpha_profile_takes_no_family_string():
+    # a family name with unchecked parameters used to build a non-monotone profile
+    with pytest.raises(TypeError):
+        AlphaProfile(family="sine", turns=1.0, lam=0.9)
+    with pytest.raises(TypeError):
+        AlphaProfile(1.0)  # the base has no formula
+
+
+def test_families_share_the_base_evaluate_and_inverse():
+    # perfbench/tracing.py wraps AlphaProfile.evaluate and .inverse by name
+    assert set(AlphaProfile.__subclasses__()) == {Fermat, Sine, Ck, Table}
+    for kind in AlphaProfile.__subclasses__():
+        assert "evaluate" not in kind.__dict__ and "inverse" not in kind.__dict__, kind
 
 
 # -- curve specs ----------------------------------------------------------------------
@@ -215,11 +251,11 @@ def test_spec_rejects_non_finite_parameters(kwargs, name):
 def test_makers_reject_non_finite_parameters():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="turns"):
-            make_fermat(bad)
+            Fermat(bad)
         with pytest.raises(ValueError, match="lambda"):
-            make_sine_variant(bad)
+            Sine(bad)
         with pytest.raises(ValueError, match="lambda"):
-            make_ck_variant(bad, 1)
+            Ck(bad, 1)
 
 
 def test_spec_custom_turns_follow_table():

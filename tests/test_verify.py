@@ -8,10 +8,10 @@ import pytest
 from yinyang.circle_sets import CircleSet, arc_reflection_overlap_into
 from yinyang.curves import (
     CurveSpec,
+    Fermat,
+    Sine,
+    Table,
     beta_polyline,
-    make_custom,
-    make_fermat,
-    make_sine_variant,
 )
 from yinyang.verify import (
     MAX_G_GRID,
@@ -191,30 +191,30 @@ def test_sweep_axes_between_nodes_and_on_window_edges():
 
 
 def test_residuals_fermat_one_turn():
-    p = make_fermat(1.0)
+    p = Fermat(1.0)
     assert relation_residual(p, "eq_alal") <= 1e-12
     assert relation_residual(p, "eq_mm") <= 1e-12
 
 
 def test_residuals_fermat_two_turns():
-    p = make_fermat(2.0)
+    p = Fermat(2.0)
     assert relation_residual(p, "eq_sigma") <= 1e-12
     assert relation_residual(p, "eq_alalal") <= 1e-12
 
 
 def test_residual_eq_al3_fermat_three_halves():
     # the 3/2-turn linear profile violates the 3/2-turn balance relation
-    p = make_fermat(1.5)
+    p = Fermat(1.5)
     assert relation_residual(p, "eq_al3") == pytest.approx(1.0 / 6.0, abs=1e-9)
 
 
 def test_residual_domain_mismatch():
     with pytest.raises(ValueError, match="1.0 turns"):
-        relation_residual(make_fermat(2.0), "eq_alal")
+        relation_residual(Fermat(2.0), "eq_alal")
     with pytest.raises(ValueError, match="2.0 turns"):
-        relation_residual(make_fermat(1.0), "eq_sigma")
+        relation_residual(Fermat(1.0), "eq_sigma")
     with pytest.raises(ValueError, match="1.5 turns"):
-        relation_residual(make_fermat(1.0), "eq_al3")
+        relation_residual(Fermat(1.0), "eq_al3")
 
 
 def test_applicable_relations_follow_turns():
@@ -226,11 +226,11 @@ def test_applicable_relations_follow_turns():
 
 def test_residual_unknown_relation():
     with pytest.raises(ValueError, match="unknown relation"):
-        relation_residual(make_fermat(1.0), "eq_bogus")
+        relation_residual(Fermat(1.0), "eq_bogus")
 
 
 def test_residual_quadratic_profile_breaks_quarter_shift():
-    p = make_custom(quad_table())
+    p = Table(quad_table())
     # alpha = 4u^2: alpha(u+1/4) - alpha(u) - 1/2 = 2u - 1/4, sup 1/4 on (0, 1/4]
     assert relation_residual(p, "eq_alal") == pytest.approx(0.25, abs=1e-3)
 
@@ -239,28 +239,28 @@ def test_residual_quadratic_profile_breaks_quarter_shift():
 
 
 def test_m_function_constant_for_fermat():
-    p = make_fermat(1.0)
+    p = Fermat(1.0)
     u = np.linspace(0.01, 1.0, 57)
     assert np.max(np.abs(m_function(p, u) - 0.5)) <= 1e-12
     assert m_function(p, 0.3) == pytest.approx(m_function(p, 0.8), abs=1e-12)
 
 
 def test_m_function_periodicity_tracks_quarter_shift():
-    sine = make_sine_variant(0.1)
+    sine = Sine(0.1)
     u = np.linspace(0.001, 0.5, 400)
     assert np.max(np.abs(m_function(sine, u) - m_function(sine, u + 0.5))) <= 1e-12
-    quad = make_custom(quad_table())
+    quad = Table(quad_table())
     assert np.max(np.abs(m_function(quad, u) - m_function(quad, u + 0.5))) > 1e-3
 
 
 def test_m_function_domain():
-    p = make_fermat(1.0)
+    p = Fermat(1.0)
     with pytest.raises(ValueError):
         m_function(p, 0.0)
     with pytest.raises(ValueError):
         m_function(p, 1.1)
     with pytest.raises(ValueError, match="1.0 turns"):
-        m_function(make_fermat(2.0), 0.5)
+        m_function(Fermat(2.0), 0.5)
 
 
 # -- radial crossings -----------------------------------------------------------------
