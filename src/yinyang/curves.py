@@ -209,7 +209,7 @@ class CurveSpec:
     samples: tuple[tuple[float, float], ...] | None = None
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
+        if not (isinstance(self.family, str) and self.family in FAMILIES):
             raise ValueError(f"unknown family {self.family!r}, expected one of {tuple(FAMILIES)}")
         check_parts(self.parts)
         object.__setattr__(self, "turns", finite("turns", self.turns))
@@ -222,7 +222,7 @@ class CurveSpec:
         # sine and ck span one turn and a table its own count; turns=1 takes the profile's
         if self.turns != 1.0 and abs(self.turns - profile.turns) > 1e-9:
             raise ValueError(f"{self.family} profile spans turns={profile.turns}, not {self.turns}")
-        for field in {"turns", *takes}:  # each value as the profile converted it
+        for field in ("turns", *takes):  # each value as the profile converted it
             object.__setattr__(self, field, getattr(profile, field))
         object.__setattr__(self, "_profile", profile)
 

@@ -216,6 +216,8 @@ def test_families_share_the_base_evaluate_and_inverse():
 def test_spec_validation():
     with pytest.raises(ValueError):
         CurveSpec(family="unknown")
+    with pytest.raises(ValueError, match="unknown family"):
+        CurveSpec.from_json({"family": ["fermat"]})
     with pytest.raises(ValueError):
         CurveSpec(family="fermat", parts=1)
     with pytest.raises(ValueError):
