@@ -53,12 +53,12 @@ def _add_curve_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _read_json(path: Path):
-    """The JSON document in a file; nesting too deep to parse is a ValueError naming the file."""
+    """The JSON document in a file; text that does not parse is a ValueError naming the file."""
     text = path.read_text()
     try:
         return json.loads(text)
-    except RecursionError:
-        raise ValueError(f"{path}: JSON nesting too deep to read") from None
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nesting too deep
+        raise ValueError(f"{path} is not readable JSON: {exc}") from None
 
 
 def _spec_from_args(args: argparse.Namespace) -> CurveSpec:

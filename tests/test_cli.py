@@ -385,20 +385,21 @@ def test_parts_over_cap_exit_two(argv, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text", ["[" * 100_000, "not json"], ids=["deeply-nested", "not-json"])
 @pytest.mark.parametrize(
     "argv",
     [
-        ["verify", "--family", "custom", "--samples", "DEEP", *FAST_VERIFY],
-        ["render", "--config", "DEEP"],
+        ["verify", "--family", "custom", "--samples", "FILE", *FAST_VERIFY],
+        ["render", "--config", "FILE"],
     ],
 )
-def test_deeply_nested_json_file_exits_two(argv, tmp_path, capsys):
-    deep = tmp_path / "deep.json"
-    deep.write_text("[" * 100_000)
-    argv = [str(deep) if a == "DEEP" else a for a in argv]
+def test_unreadable_json_file_exits_two_naming_it(argv, text, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    argv = [str(bad) if a == "FILE" else a for a in argv]
     if argv[0] == "render":
         argv += ["--out", str(tmp_path / "x.svg")]
-    _assert_usage_error(argv, str(deep), capsys)
+    _assert_usage_error(argv, str(bad), capsys)
 
 
 def test_q_max_over_cap_refused_before_any_work(monkeypatch, capsys):
