@@ -47,8 +47,9 @@ class AlphaProfile(ABC):
 
     ``evaluate`` and ``inverse`` accept scalars or numpy arrays.  The
     profile is strictly increasing from 0 (exclusive) at u -> 0 to 1 at
-    u = domain_end = turns/2.  A family gives the formula ``_alpha`` and may
-    replace the bisection ``_inverse`` by a closed form.
+    u = domain_end = turns/2.  A family gives the formula ``_alpha`` and its
+    ``derivative``, may list interior ``seams`` where the derivative is not
+    smooth, and may replace the bisection ``_inverse`` by a closed form.
     """
 
     def __init__(self, turns: float):
@@ -69,7 +70,7 @@ class AlphaProfile(ABC):
         """The unique u with alpha(u) = v, for v in (0, 1]."""
         scalar = np.ndim(v) == 0
         v = np.asarray(v, dtype=float)
-        if np.any(v < 0.0) or np.any(v > 1.0 + 1e-12):
+        if not np.all((v >= 0.0) & (v <= 1.0 + 1e-12)):  # NaN fails both comparisons
             raise ValueError("inverse argument must lie in (0, 1]")
         out = self._inverse(v)
         return float(out) if scalar else out
@@ -77,6 +78,14 @@ class AlphaProfile(ABC):
     @abstractmethod
     def _alpha(self, u: np.ndarray) -> np.ndarray:
         """alpha(u) on an array of u."""
+
+    @abstractmethod
+    def derivative(self, u: np.ndarray) -> np.ndarray:
+        """alpha'(u) on an array of u in [0, domain_end]; the left limit at a seam."""
+
+    def seams(self) -> np.ndarray:
+        """Ends of the pieces on which alpha is smooth: 0, interior seams, domain_end."""
+        return np.array([0.0, self.domain_end])
 
     def _inverse(self, v: np.ndarray) -> np.ndarray:
         lo = np.zeros_like(v)
@@ -98,6 +107,9 @@ class Fermat(AlphaProfile):
     def _alpha(self, u):
         return (2.0 / self.turns) * u
 
+    def derivative(self, u):
+        return np.full_like(u, 2.0 / self.turns)
+
     def _inverse(self, v):
         return (self.turns / 2.0) * v
 
@@ -114,6 +126,9 @@ class Sine(AlphaProfile):
     def _alpha(self, u):
         return 2.0 * u + (self.lam / math.pi) * np.sin(8.0 * math.pi * u)
 
+    def derivative(self, u):
+        return 2.0 + 8.0 * self.lam * np.cos(8.0 * math.pi * u)
+
 
 class Ck(AlphaProfile):
     """One-turn piecewise-polynomial profile, k times differentiable at u=1/4.
@@ -129,21 +144,30 @@ class Ck(AlphaProfile):
             raise ValueError(f"ck variant requires lambda > 0, got {lam}")
         if isinstance(k, bool) or not (isinstance(k, int) and k >= 0):
             raise ValueError(f"smoothness order k must be a non-negative integer, got {k}")
+        self.lam, self.k = lam, k
         grid = np.linspace(0.0, 0.25, 10_001)
-        deriv = 2.0 + lam * (k + 1) * grid**k * (0.25 - grid) ** k * (0.25 - 2.0 * grid)
+        deriv = self.derivative(grid)
         worst = int(np.argmin(deriv))
         if deriv[worst] <= 0.0:
             raise ValueError(
                 f"lambda={lam} breaks monotonicity: derivative {deriv[worst]:.6g} "
                 f"at u={grid[worst]:.6g}"
             )
-        self.lam, self.k = lam, k
 
     def _half(self, u):
         return 2.0 * u + self.lam * u ** (self.k + 1) * (0.25 - u) ** (self.k + 1)
 
+    def _half_derivative(self, u):
+        return 2.0 + self.lam * (self.k + 1) * (u * (0.25 - u)) ** self.k * (0.25 - 2.0 * u)
+
     def _alpha(self, u):
         return np.where(u <= 0.25, self._half(u), 0.5 + self._half(u - 0.25))
+
+    def derivative(self, u):
+        return self._half_derivative(np.where(u <= 0.25, u, u - 0.25))
+
+    def seams(self):
+        return np.array([0.0, 0.25, 0.5])
 
 
 def _sample_table(samples) -> tuple[tuple[float, float], ...]:
@@ -179,9 +203,17 @@ class Table(AlphaProfile):
         v[-1] = 1.0
         super().__init__(2.0 * float(u[-1]))
         self._u, self._v = u, v
+        self._slopes = np.diff(v) / np.diff(u)
 
     def _alpha(self, u):
         return np.interp(u, self._u, self._v)
+
+    def derivative(self, u):
+        # segment s spans (knot s, knot s + 1]: a knot takes the slope on its left
+        return self._slopes[np.searchsorted(self._u[1:-1], u)]
+
+    def seams(self):
+        return self._u.copy()
 
     def _inverse(self, v):
         return np.interp(v, self._v, self._u)

@@ -10,12 +10,18 @@ overlap
 
 is the constant 1/parts^2 for every reflection axis g.  With L = 1/parts
 <= 1/2 and the slice starting at t = alpha^{-1}(v), the fiber overlap is
-the circular tent max(0, L - dist(g, c)) centred at c = (2t + L) mod 1, so
-f is a weighted sum of tents.  ``perfect_profile`` takes composite-Simpson
-nodes and weights in v, sorts the tent centres once, and reads f at every
-axis of the g-grid from prefix sums of w and w*c in one sorted sweep;
-``monte_carlo_overlap`` estimates the same quantity by throwing uniform
-points at the disk, giving an independent check on the quadrature path.
+the circular tent max(0, L - dist(g, c)) centred at c = (2t + L) mod 1.
+Substituting v = alpha(t), dv = alpha'(t) dt gives
+
+    f(g) = integral over t in (0, turns/2) of  tent(g - (2t + L)) alpha'(t) dt,
+
+whose tent centres are explicit in t, so no inverse is needed.
+``perfect_profile`` takes composite-Simpson nodes in t, split at the
+profile's seams, with weights w * alpha'(t), sorts the tent centres once,
+and reads f at every axis of the g-grid from prefix sums of the weights in
+one sorted sweep; ``monte_carlo_overlap`` estimates the same quantity by
+throwing uniform points at the disk, giving an independent check on the
+quadrature path.
 
 ``rotation_check`` integrates the largest rotation-invariant subset of
 each slice.  A slice is one arc of length L <= 1/2, so for a rotation p/q
@@ -72,11 +78,11 @@ FLATNESS_TOL_TABLE = 1e-4
 TURNING_ANGLE_TOL = 0.2  # radians, A5 sampling surrogate
 RESIDUAL_GRID = 10_000
 
-#: Default reflection axes and v-quadrature nodes of the A4 profile.
+#: Default reflection axes and quadrature nodes of the A4 profile.
 G_GRID = 512
 V_QUADRATURE = 100_000
 
-#: Largest work sizes accepted: reflection axes, v-quadrature nodes, disk samples.
+#: Largest work sizes accepted: reflection axes, quadrature nodes, disk samples.
 MAX_G_GRID = 65_536
 MAX_V_QUADRATURE = 2_000_001
 MAX_MC_SAMPLES = 10_000_000
@@ -84,24 +90,57 @@ MAX_MC_SAMPLES = 10_000_000
 MAX_Q = 1000
 
 
-def v_quadrature_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights integrating over v in (0, 1), endpoints excluded.
+def _spread(total: int, lengths: np.ndarray) -> np.ndarray:
+    """Interval counts, at least 1 each, summing to ``total`` and otherwise in proportion to
+    ``lengths``; pieces of equal length get equal counts whenever the counts allow it.
 
-    Composite Simpson on a uniform grid offset half a step from the
-    endpoints (the profile inverse can be ill-behaved at v -> 0 for table
-    profiles); the two half-step tails are closed with rectangles.  The
-    node count is rounded up to odd; weights sum to 1 exactly.
+    With more pieces than ``total`` every piece gets one interval.
+    """
+    extra = max(total - len(lengths), 0)
+    cum = np.cumsum(lengths)
+    ends = np.rint(extra * (cum / cum[-1])).astype(np.int64)
+    return np.diff(ends, prepend=0) + 1
+
+
+def t_quadrature_rule(profile: AlphaProfile, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes t in [0, domain_end] and weights w * alpha'(t) for integrals over heights.
+
+    A sum over the rule approximates integral_0^1 F(v) dv = integral F(alpha(t)) alpha'(t) dt.
+    The node count is rounded up to odd, m, and the m - 1 intervals are spread
+    over the pieces between the profile's seams by length, at least one each
+    (so with more pieces than intervals the rule has more nodes).  Intervals
+    are numbered through all pieces; interval i pairs with interval i + 1 for
+    composite Simpson when i is even and both lie in one piece, and is a
+    trapezoid when its partner lies in another piece.  Neighbouring pieces
+    share the node at their seam, and each side weights it with its own
+    one-sided alpha', so a jump of alpha' there costs no accuracy.
     """
     if not 2 <= n <= MAX_V_QUADRATURE:
         raise ValueError(f"need 2 to {MAX_V_QUADRATURE} quadrature nodes, got {n}")
-    m = n if n % 2 == 1 else n + 1
-    h = 1.0 / m
-    nodes = (np.arange(m) + 0.5) * h
-    w = np.full(m, 2.0 * h / 3.0)
-    w[1::2] = 4.0 * h / 3.0
-    w[0] = w[-1] = h / 3.0
-    w[0] += h / 2.0
-    w[-1] += h / 2.0
+    seams = profile.seams()
+    lengths = np.diff(seams)
+    count = _spread((n | 1) - 1, lengths)
+    ends = np.cumsum(count)
+    starts = ends - count  # first interval of each piece
+    nodes = np.interp(np.arange(ends[-1] + 1.0), np.append(starts, ends[-1]), seams)
+    # in units of h/6 an interval weighs its left node 2 or 4 as the first or second
+    # of a Simpson pair and 3 as a trapezoid; its right node takes the rest of 6
+    left = np.empty(ends[-1])
+    left[0::2], left[1::2] = 2.0, 4.0
+    left[starts[starts % 2 == 1]] = 3.0
+    left[ends[ends % 2 == 1] - 1] = 3.0
+    right = np.repeat(lengths / (6.0 * count), count)  # h/6 of every interval
+    left *= right
+    right *= 6.0
+    right -= left
+    slope = profile.derivative(nodes)  # the left limit at a seam
+    w = np.empty_like(nodes)
+    np.multiply(left, slope[:-1], out=w[:-1])
+    w[-1] = 0.0
+    seam = starts[1:]  # an interval starting at a seam takes alpha' one ulp to its right
+    w[seam] += left[seam] * (profile.derivative(np.nextafter(seams[1:-1], np.inf)) - slope[seam])
+    right *= slope[1:]
+    w[1:] += right
     return nodes, w
 
 
@@ -181,17 +220,19 @@ def perfect_profile(
     """Sample f(g) = integral_v of the slice reflection overlap, exactly per fiber.
 
     Each fiber contributes the exact single-arc overlap, a tent of half-width
-    L = 1/parts around c = (2t + L) mod 1; only the v-integral is quadrature.
-    One sort of the tent centres and prefix sums of w and w*c give f at all
-    axes in O((V + G) log V) for V quadrature nodes and G axes.
+    L = 1/parts around c = (2t + L) mod 1; only the integral is quadrature,
+    taken over the curve parameter t by :func:`t_quadrature_rule`.  One sort
+    of the tent centres and prefix sums of w and w*c give f at all axes in
+    O((V + G) log V) for V quadrature nodes and G axes.
     """
     if not 2 <= g_grid <= MAX_G_GRID:
         raise ValueError(f"need 2 to {MAX_G_GRID} reflection axes, got {g_grid}")
-    nodes, w = v_quadrature_rule(v_quadrature)
-    profile = spec.alpha_profile()
+    t, w = t_quadrature_rule(spec.alpha_profile(), v_quadrature)
     length = 1.0 / spec.parts
     g_values = np.arange(g_grid) / g_grid
-    f = _tent_sweep(np.mod(2.0 * profile.inverse(nodes) + length, 1.0), w, length, g_values)
+    centres = 2.0 * t + length
+    centres -= np.floor(centres)  # mod 1, exact for centres >= 0 and faster than np.mod
+    f = _tent_sweep(centres, w, length, g_values)
     target = length * length
     dev = np.abs(f - target)
     witness = int(np.argmax(dev))
@@ -201,7 +242,7 @@ def perfect_profile(
         target=target,
         max_deviation=float(dev[witness]),
         witness_g=float(g_values[witness]),
-        v_nodes=len(nodes),
+        v_nodes=len(t),
     )
 
 

@@ -3,11 +3,16 @@
 These deliberately avoid the library's exact arc algebra: membership is
 counted on dense midpoint grids, or a single arc's overlap is written in
 closed form, so any agreement with the library is evidence, not tautology.
+The A4 profile's reference is the integral over heights v, each slice
+located by the profile's inverse, which the library's integral over the
+curve parameter t replaces.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from yinyang.verify import MAX_V_QUADRATURE, _tent_sweep
 
 
 def grid_membership(arcs: list[tuple[float, float]], x: np.ndarray) -> np.ndarray:
@@ -64,3 +69,36 @@ def arc_reflection_overlap(start, length: float, g):
 def annular_sector_area(r1: float, r2: float, phi1: float, phi2: float) -> float:
     """Area of {r1 <= r <= r2, phi1 <= phi <= phi2} in the plane."""
     return 0.5 * (r2 * r2 - r1 * r1) * (phi2 - phi1)
+
+
+def v_quadrature_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights integrating over v in (0, 1), endpoints excluded.
+
+    Composite Simpson on a uniform grid offset half a step from the
+    endpoints (the profile inverse can be ill-behaved at v -> 0 for table
+    profiles); the two half-step tails are closed with rectangles.  The
+    node count is rounded up to odd; weights sum to 1 exactly.
+    """
+    if not 2 <= n <= MAX_V_QUADRATURE:
+        raise ValueError(f"need 2 to {MAX_V_QUADRATURE} quadrature nodes, got {n}")
+    m = n if n % 2 == 1 else n + 1
+    h = 1.0 / m
+    nodes = (np.arange(m) + 0.5) * h
+    w = np.full(m, 2.0 * h / 3.0)
+    w[1::2] = 4.0 * h / 3.0
+    w[0] = w[-1] = h / 3.0
+    w[0] += h / 2.0
+    w[-1] += h / 2.0
+    return nodes, w
+
+
+def v_path_profile_values(spec, g_grid: int, v_quadrature: int) -> np.ndarray:
+    """f(g) integrated over heights: v on :func:`v_quadrature_rule`, slices at alpha^{-1}(v).
+
+    The tent sweep is shared with the library; it is checked against the
+    G x V kernel on its own.
+    """
+    length = 1.0 / spec.parts
+    nodes, w = v_quadrature_rule(v_quadrature)
+    centres = np.mod(2.0 * spec.alpha_profile().inverse(nodes) + length, 1.0)
+    return _tent_sweep(centres, w, length, np.arange(g_grid) / g_grid)

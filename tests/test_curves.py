@@ -176,6 +176,47 @@ def test_alpha_inverse_round_trips():
         assert table.evaluate(table.inverse(v)) == pytest.approx(v, abs=1e-12)
 
 
+def test_inverse_and_section_refuse_nan():
+    # NaN fails every comparison, so a range check written as "v < 0 or v > 1" let it through
+    for profile in (Fermat(1.0), Sine(0.1), Table(_quadratic_table())):
+        with pytest.raises(ValueError, match="inverse"):
+            profile.inverse(math.nan)
+        with pytest.raises(ValueError, match="inverse"):
+            profile.inverse(np.array([0.5, math.nan]))
+    with pytest.raises(ValueError, match="inverse"):
+        section(CurveSpec(family="sine", lam=0.1), math.nan)
+
+
+# -- derivatives and seams ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("profile", [
+    Fermat(1.0), Fermat(1.5), Sine(0.24), Ck(7.9, 0), Ck(1.0, 1), Ck(1.0, 3), Table(_quadratic_table(33)),
+], ids=lambda p: type(p).__name__)
+def test_derivative_matches_difference_quotients(profile):
+    # central differences of evaluate on each smooth piece, away from its seams
+    seams = profile.seams()
+    assert seams[0] == 0.0 and seams[-1] == profile.domain_end and np.all(np.diff(seams) > 0.0)
+    h = 1e-6
+    for a, b in zip(seams[:-1], seams[1:]):
+        u = np.linspace(a + 2 * h, b - 2 * h, 7)
+        quotient = (profile.evaluate(u + h) - profile.evaluate(u - h)) / (2 * h)
+        assert np.max(np.abs(profile.derivative(u) - quotient)) <= 1e-6
+
+
+def test_seams_and_one_sided_derivatives():
+    assert list(Fermat(2.0).seams()) == [0.0, 1.0]
+    assert list(Sine(0.1).seams()) == [0.0, 0.5]
+    assert list(Ck(1.0, 2).seams()) == [0.0, 0.25, 0.5]
+    table = Table([(0.1, 0.3), (0.25, 0.5), (0.5, 1.0)])
+    assert list(table.seams()) == [0.0, 0.1, 0.25, 0.5]  # the (0, 0) anchor is a knot
+    # a seam takes the slope of the piece on its left
+    assert list(table.derivative(np.array([0.0, 0.1, 0.2, 0.25, 0.5]))) == pytest.approx([3.0, 3.0, 4 / 3, 4 / 3, 2.0])
+    ck = Ck(4.0, 0)
+    assert list(ck.derivative(np.array([0.0, 0.25, 0.5]))) == pytest.approx([3.0, 1.0, 1.0])
+    assert ck.derivative(np.nextafter(np.array([0.25]), 1.0))[0] == pytest.approx(3.0)
+
+
 # -- family types ---------------------------------------------------------------------
 
 

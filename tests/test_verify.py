@@ -1,12 +1,15 @@
 import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from _oracles import v_path_profile_values, v_quadrature_rule
 from yinyang.circle_sets import CircleSet, arc_reflection_overlap_into
 from yinyang.curves import (
+    Ck,
     CurveSpec,
     Fermat,
     Sine,
@@ -14,9 +17,13 @@ from yinyang.curves import (
     beta_polyline,
 )
 from yinyang.verify import (
+    FLATNESS_TOL_CLOSED_FORM,
+    FLATNESS_TOL_TABLE,
+    G_GRID,
     MAX_G_GRID,
     MAX_MC_SAMPLES,
     MAX_V_QUADRATURE,
+    V_QUADRATURE,
     AxiomVerdict,
     applicable_relations,
     check_axioms,
@@ -28,7 +35,7 @@ from yinyang.verify import (
     relation_residual,
     rotation_check,
     single_arc_invariant_measure,
-    v_quadrature_rule,
+    t_quadrature_rule,
 )
 
 FAST = dict(g_grid=64, v_quadrature=5001)
@@ -41,27 +48,56 @@ def quad_table(n=2001):
 
 # -- quadrature rule -----------------------------------------------------------
 
+PROFILES = [Fermat(1.0), Fermat(1.5), Sine(0.24), Ck(7.9, 0), Ck(1.0, 2), Table(quad_table(33))]
+
 
 def test_quadrature_weights_sum_to_one():
-    for n in (2, 3, 101, 4096, 99_999):
-        nodes, w = v_quadrature_rule(n)
-        assert len(nodes) % 2 == 1
-        assert np.sum(w) == pytest.approx(1.0, abs=1e-13)
-        assert nodes[0] > 0.0 and nodes[-1] < 1.0
+    # the weights integrate alpha' over [0, domain_end], which is alpha(domain_end) = 1
+    for profile in PROFILES:
+        for n in (2, 3, 101, 4096, 99_999):
+            nodes, w = t_quadrature_rule(profile, n)
+            assert len(nodes) == max(n + 1 - n % 2, len(profile.seams()))
+            if n > 3:  # three nodes alias the sine profile's period of 1/4
+                assert np.sum(w) == pytest.approx(1.0, abs=1e-13)
+            assert nodes[0] == 0.0 and nodes[-1] == profile.domain_end
+            assert np.all(np.diff(nodes) > 0.0) and np.all(w > 0.0)
 
 
 def test_quadrature_integrates_smooth_functions():
-    nodes, w = v_quadrature_rule(10_001)
-    # the rectangle half-cells at the skipped endpoints cost O(h^2)
-    assert w @ nodes**2 == pytest.approx(1.0 / 3.0, abs=1e-7)
-    assert w @ np.sin(2 * math.pi * nodes) == pytest.approx(0.0, abs=1e-10)
-    nodes, w = v_quadrature_rule(100_000)
-    assert w @ nodes**2 == pytest.approx(1.0 / 3.0, abs=1e-9)
+    # sum w F(alpha(t)) approximates the integral of F over v in (0, 1)
+    for profile in PROFILES[:5]:
+        nodes, w = t_quadrature_rule(profile, 10_001)
+        v = profile.evaluate(nodes)
+        assert w @ v**2 == pytest.approx(1.0 / 3.0, abs=1e-12)
+        assert w @ np.sin(2 * math.pi * v) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_quadrature_seams_take_one_sided_slopes():
+    # a table's slope jumps at every knot: the rule is exact for piecewise-linear integrands
+    table = Table(quad_table(33))
+    nodes, w = t_quadrature_rule(table, 101)
+    assert set(table.seams()) <= set(nodes)
+    knots = table.seams()
+    slopes = np.diff(table.evaluate(knots)) / np.diff(knots)
+    assert w @ nodes == pytest.approx(np.sum(np.diff(knots**2) * slopes) / 2.0, abs=1e-15)
 
 
 def test_quadrature_rejects_tiny_n():
     with pytest.raises(ValueError):
-        v_quadrature_rule(1)
+        t_quadrature_rule(Fermat(1.0), 1)
+
+
+def test_quadrature_node_budget():
+    # the CLI default is exactly 100 001 nodes for every family and for every
+    # table with fewer knots than nodes; more pieces than intervals get one each
+    for spec in SWEEP_SPECS:
+        assert len(t_quadrature_rule(spec.alpha_profile(), V_QUADRATURE)[0]) == 100_001
+    u = np.linspace(0.0, 0.5, 100_000)
+    big = Table([(float(a), float(2.0 * a)) for a in u])
+    assert len(t_quadrature_rule(big, V_QUADRATURE)[0]) == 100_001
+    nodes, w = t_quadrature_rule(big, 101)
+    assert len(nodes) == 100_000 and np.sum(w) == pytest.approx(1.0, abs=1e-12)
+    assert perfect_profile(CurveSpec(family="custom", samples=big.samples), g_grid=8).v_nodes == 100_001
 
 
 def _raises_without_allocating(match, fn, *args, **kwargs):
@@ -78,7 +114,7 @@ def _raises_without_allocating(match, fn, *args, **kwargs):
 
 def test_work_sizes_are_capped():
     spec = CurveSpec(family="fermat")
-    _raises_without_allocating("quadrature nodes", v_quadrature_rule, MAX_V_QUADRATURE + 1)
+    _raises_without_allocating("quadrature nodes", t_quadrature_rule, Fermat(1.0), MAX_V_QUADRATURE + 1)
     _raises_without_allocating(
         "quadrature nodes", perfect_profile, spec, g_grid=8, v_quadrature=MAX_V_QUADRATURE + 1
     )
@@ -88,7 +124,7 @@ def test_work_sizes_are_capped():
     _raises_without_allocating(
         "samples", monte_carlo_overlap, spec, g=0.3, samples=MAX_MC_SAMPLES + 1, seed=1
     )
-    assert len(v_quadrature_rule(MAX_V_QUADRATURE)[0]) == MAX_V_QUADRATURE
+    assert len(t_quadrature_rule(Fermat(1.0), MAX_V_QUADRATURE)[0]) == MAX_V_QUADRATURE
     assert len(perfect_profile(spec, g_grid=MAX_G_GRID, v_quadrature=101).g) == MAX_G_GRID
 
 
@@ -129,10 +165,10 @@ def test_profile_mean_matches_measure_squared():
 
 
 def gxv_profile_values(spec, g_grid, v_quadrature):
-    """f(g) the slow way: one full pass over every fiber per axis (G x V)."""
+    """f(g) the slow way: one full pass over every fiber of the t-rule per axis (G x V)."""
     length = 1.0 / spec.parts
-    nodes, w = v_quadrature_rule(v_quadrature)
-    neg_base = -(2.0 * spec.alpha_profile().inverse(nodes) + length)
+    nodes, w = t_quadrature_rule(spec.alpha_profile(), v_quadrature)
+    neg_base = -(2.0 * nodes + length)
     buf = np.empty_like(nodes)
     return np.array([
         float(w @ arc_reflection_overlap_into(neg_base, length, g, buf))
@@ -185,6 +221,54 @@ def test_sweep_axes_between_nodes_and_on_window_edges():
     for spec in (CurveSpec(family="fermat", turns=1.0), CurveSpec(family="fermat", turns=1.5)):
         prof = perfect_profile(spec, g_grid=6, v_quadrature=3)
         assert np.max(np.abs(prof.values - gxv_profile_values(spec, 6, 3))) <= 1e-12
+
+
+# -- the t-path against the v-path oracle ----------------------------------------
+
+# At 512 axes and 1e5 nodes, 100x inside the 1e-6 closed-form tolerance.  Most of the
+# difference is the oracle's own error: on the 2001-knot table the v-path is 7.4e-9 off
+# a 2e6-node reference and the t-path 3.3e-11, as the t-rule has a seam at every knot.
+V_PATH_BOUND = 1e-8
+
+
+def _perturbed_table(eps, knots):
+    """A one-turn table on the Fermat line bent by eps sin(4 pi u): A4 deviates by about 0.63 eps."""
+    table = [(float(u), float(2.0 * u + eps * math.sin(4.0 * math.pi * u))) for u in knots]
+    return tuple(table[:-1]) + ((0.5, 1.0),)
+
+
+_UNEVEN = np.concatenate([[0.0], np.sort(np.random.default_rng(7).uniform(0.0, 0.5, 23)), [0.5]])
+ORACLE_SPECS = SWEEP_SPECS + [
+    CurveSpec(family="custom", samples=json.loads(
+        (Path(__file__).parent / "fixtures" / "quadratic_33.json").read_text())),
+    *(CurveSpec(family="custom", samples=_perturbed_table(eps, knots))
+      for eps in (1.3e-4, 1.55e-4, 1.9e-4) for knots in (np.linspace(0.0, 0.5, 33), _UNEVEN)),
+]
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=lambda s: _spec_id(s) + f"-{len(s.samples or ())}")
+def test_t_path_matches_v_path_oracle(spec):
+    prof = perfect_profile(spec)
+    ref = v_path_profile_values(spec, G_GRID, V_QUADRATURE)
+    assert np.max(np.abs(prof.values - ref)) <= V_PATH_BOUND
+    tol = FLATNESS_TOL_TABLE if spec.family == "custom" else FLATNESS_TOL_CLOSED_FORM
+    ref_dev = np.max(np.abs(ref - prof.target))
+    assert (prof.max_deviation <= tol) == (ref_dev <= tol)
+
+
+def test_perturbed_tables_straddle_the_table_tolerance():
+    # the corpus above holds tables that pass and tables that fail A4
+    devs = [perfect_profile(spec, **FAST).max_deviation for spec in ORACLE_SPECS[-6:]]
+    assert min(devs) < 0.9 * FLATNESS_TOL_TABLE and max(devs) > 1.1 * FLATNESS_TOL_TABLE
+
+
+def test_ck_seam_split_keeps_the_profile_flat():
+    # alpha' jumps by lambda/2 at t = 1/4 for k = 0; integrated across the jump
+    # the profile is about 7e-5 off at 5001 nodes, split there it is flat to rounding
+    lam = 7.99  # the profile is increasing for lambda < 8
+    spec = CurveSpec(family="ck", lam=lam, k=0)
+    assert Ck(lam, 0).derivative(np.array([0.25]))[0] == pytest.approx(2.0 - lam / 4.0)
+    assert perfect_profile(spec, v_quadrature=5001).max_deviation <= 1e-12
 
 
 # -- relation residuals ----------------------------------------------------------
