@@ -12,12 +12,14 @@ reflection x -> g - x of the circle, the overlap
     f(g) = measure(S intersect (g - S))
 
 is a piecewise-linear function of g whose kinks occur only at pairwise
-sums of arc endpoints (mod 1).  Enumerating those breakpoints gives the
-overlap profile exactly, which turns the averaging identity
+sums of arc endpoints (mod 1).  It is sum_k sigma_k M(g - e_k) over the
+endpoints e_k (sigma_k = +1 at a start, -1 at an end) of M(y) = integral_0^y 1_S:
+the measure of S inside each reflected arc, which the package's one overlap
+kernel :func:`overlap_sums` reads at every breakpoint.  So the averaging identity
 
     integral of f over the circle  =  measure(S)^2
 
-and the strict-maximum check max_g f(g) > measure(S)^2 into 1e-12
+and the strict-maximum check max_g f(g) > measure(S)^2 become 1e-12
 assertions instead of quadrature estimates.
 
 Single points have measure zero and are ignored everywhere.  The one
@@ -96,6 +98,48 @@ def _merge(pieces: Iterable[tuple[float, float]]) -> tuple[tuple[float, float], 
     return tuple((a, b) for a, b in merged)
 
 
+def _prefix_sums(x: np.ndarray) -> np.ndarray:
+    """[0, x0, x0 + x1, ..., sum(x)], rounding O(sqrt(n)) additions deep, not O(n).
+
+    A plain running sum of n positive terms can drift by n roundings (it
+    does for the periodic Simpson weights), so the terms are summed in
+    blocks of about sqrt(n) and the block totals are added on afterwards.
+    """
+    n = len(x)
+    b = max(1, math.isqrt(n))
+    rows = -(-n // b)
+    out = np.zeros(rows * b + 1)
+    out[1 : n + 1] = x
+    blocks = out[1:].reshape(rows, b)
+    np.cumsum(blocks, axis=1, out=blocks)
+    blocks[1:] += np.cumsum(blocks[:-1, -1])[:, None]
+    return out[: n + 1]
+
+
+def overlap_sums(points: np.ndarray, weights: np.ndarray, g, shifts, coefs) -> np.ndarray:
+    """sum_j coefs_j * Q(g + shifts_j) at every g, for Q(y) = sum_l w_l * (y - x_l)_+.
+
+    Q sums over the copies x_l + m of the points x_l in [0, 1], counted from the
+    start of copy 0: Q(y) = y W(y) - C(y), where W and C sum w and w * x over the
+    copies below y (negatively below 0), so on [0, 1) Q sums the points below y.
+    One sort and the prefix sums of copy 0 give them; a shift costs one lookup per g.
+    """
+    order = np.argsort(points)
+    x, w = points[order], weights[order]
+    del order
+    cum_w = _prefix_sums(w)
+    cum_wx = _prefix_sums(np.multiply(w, x, out=w))
+    out = np.zeros(len(g))
+    for shift, coef in zip(shifts, coefs):
+        y = g + shift
+        m = np.floor(y)  # the copy that holds y
+        k = np.searchsorted(x, y - m, side="right")
+        sum_w = cum_w[k] + m * cum_w[-1]
+        sum_wx = cum_wx[k] + m * cum_w[k] + m * cum_wx[-1] + 0.5 * m * (m - 1.0) * cum_w[-1]
+        out += coef * (y * sum_w - sum_wx)
+    return out
+
+
 @dataclass(frozen=True)
 class CircleSet:
     """Canonical finite union of disjoint half-open arcs on the circle.
@@ -172,26 +216,22 @@ class CircleSet:
             pieces.extend(_split_arc(a + h, b - a))
         return CircleSet._from_pieces(pieces)
 
-    def _reflected_pieces(self, g: float) -> list[tuple[float, float]]:
-        # [a, b) reflects to (g-b, g-a]; the endpoint flip is measure zero
-        return [piece for a, b in self._bounds() for piece in _split_arc(g - b, b - a)]
-
     def reflect(self, g: float) -> "CircleSet":
         """The reflected set {g - x : x in S}."""
-        return CircleSet._from_pieces(self._reflected_pieces(float(g)))
+        # [a, b) reflects to (g-b, g-a]; the endpoint flip is measure zero
+        g = float(g)
+        return self._from_pieces(p for a, b in self._bounds() for p in _split_arc(g - b, b - a))
 
     # -- reflection overlap -------------------------------------------------
 
+    def _overlaps(self, g: np.ndarray) -> np.ndarray:
+        ends = np.array([[a.start, a.end] for a in self.arcs]).reshape(-1)
+        signs = np.tile([1.0, -1.0], len(self.arcs))
+        return overlap_sums(ends, signs, g, -ends, signs)
+
     def reflection_overlap(self, g: float) -> float:
         """measure(S intersect (g - S)): the largest subset symmetric under x -> g-x."""
-        reflected = self._reflected_pieces(float(g))
-        total = 0.0
-        for a1, b1 in self._bounds():
-            for a2, b2 in reflected:
-                lo, hi = max(a1, a2), min(b1, b2)
-                if hi > lo:
-                    total += hi - lo
-        return total
+        return float(self._overlaps(np.array([mod1(float(g))]))[0])
 
     def overlap_profile(self) -> "OverlapProfile":
         """The exact piecewise-linear profile g -> reflection_overlap(g).
@@ -210,8 +250,8 @@ class CircleSet:
             breakpoints.pop()
         if not breakpoints:
             breakpoints = [0.0]
-        values = [self.reflection_overlap(g) for g in breakpoints]
-        return OverlapProfile(breakpoints=tuple(breakpoints), values=tuple(values))
+        values = self._overlaps(np.array(breakpoints))
+        return OverlapProfile(breakpoints=tuple(breakpoints), values=tuple(values.tolist()))
 
     def mean_overlap(self) -> float:
         """Exact circle average of the reflection overlap; equals measure(S)^2."""
@@ -289,8 +329,8 @@ def arc_reflection_overlap_into(
     overlap of the arc [start, start + length) at axis g is then
     max(0, |((g + neg_base) mod 1) - 1/2| + length - 1/2).  Nothing in the
     package calls it: the tests sum it over every axis as the reference for
-    the sorted sweep of ``perfect_profile``, and the benchmark's tracer wraps
-    it by name.
+    ``perfect_profile``, which reads the same sums from :func:`overlap_sums`,
+    and the benchmark's tracer wraps it by name.
     """
     if length > 0.5:
         raise ValueError(f"kernel requires arc length <= 1/2, got {length}")

@@ -210,7 +210,7 @@ def _parser() -> argparse.ArgumentParser:
                           help=f"number of reflection axes to sample (default {G_GRID})")
     p_verify.add_argument("--v-quad", type=int, default=V_QUADRATURE,
                           help="quadrature nodes of the A4 integral over the curve parameter "
-                               f"(default {V_QUADRATURE})")
+                               f"(default {V_QUADRATURE}; more than 2 * parts * turns + 1)")
     p_verify.add_argument("--q-max", type=int, default=None,
                           help="also run the rotation-invariance check up to this order")
     p_verify.add_argument("--tolerance", type=float, default=None,

@@ -161,7 +161,8 @@ class Ck(AlphaProfile):
         return 2.0 + self.lam * (self.k + 1) * (u * (0.25 - u)) ** self.k * (0.25 - 2.0 * u)
 
     def _alpha(self, u):
-        return np.where(u <= 0.25, self._half(u), 0.5 + self._half(u - 0.25))
+        upper = u > 0.25  # reduce u once and add 1/2 on the upper half
+        return 0.5 * upper + self._half(u - 0.25 * upper)
 
     def derivative(self, u):
         return self._half_derivative(np.where(u <= 0.25, u, u - 0.25))

@@ -17,11 +17,11 @@ Substituting v = alpha(t), dv = alpha'(t) dt gives
 
 whose tent centres are explicit in t, so no inverse is needed.
 ``perfect_profile`` takes composite-Simpson nodes in t, split at the
-profile's seams, with weights w * alpha'(t), sorts the tent centres once,
-and reads f at every axis of the g-grid from prefix sums of the weights in
-one sorted sweep; ``monte_carlo_overlap`` estimates the same quantity by
-throwing uniform points at the disk, giving an independent check on the
-quadrature path.
+profile's seams, with weights w * alpha'(t).  A tent is a second difference
+of a ramp: f(g) = Q(g + L) - 2 Q(g) + Q(g - L) for Q(y) = sum w (y - c)_+,
+which ``circle_sets.overlap_sums`` reads at every axis from one sort of the
+centres; ``monte_carlo_overlap`` estimates the same quantity by throwing
+uniform points at the disk, an independent check on the quadrature path.
 
 ``rotation_check`` integrates the largest rotation-invariant subset of
 each slice.  A slice is one arc of length L <= 1/2, so for a rotation p/q
@@ -57,6 +57,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import __version__
+from .circle_sets import overlap_sums
 from .curves import AlphaProfile, CurveSpec, Table, branch_polylines, polyline_turning_angles
 from .geometry import finite, mod1
 
@@ -160,60 +161,6 @@ class PerfectProfile:
         return float(np.mean(self.values))
 
 
-def _prefix_sums(x: np.ndarray) -> np.ndarray:
-    """[0, x0, x0 + x1, ..., sum(x)], rounding O(sqrt(n)) additions deep, not O(n).
-
-    A plain running sum of n positive terms can drift by n roundings (it
-    does for the periodic Simpson weights), so the terms are summed in
-    blocks of about sqrt(n) and the block totals are added on afterwards.
-    """
-    n = len(x)
-    b = max(1, math.isqrt(n))
-    rows = -(-n // b)
-    out = np.zeros(rows * b + 1)
-    out[1 : n + 1] = x
-    blocks = out[1:].reshape(rows, b)
-    np.cumsum(blocks, axis=1, out=blocks)
-    blocks[1:] += np.cumsum(blocks[:-1, -1])[:, None]
-    return out[: n + 1]
-
-
-def _tent_sweep(centres: np.ndarray, w: np.ndarray, length: float, g: np.ndarray) -> np.ndarray:
-    """sum_i w_i * max(0, length - dist(g, centres_i)) at every g, for length <= 1/2.
-
-    ``centres`` and ``g`` lie in [0, 1) and dist is the distance on the circle.
-    The tents around g come from the windows [g - length, g] (weight
-    w * (length - g + c)) and (g, g + length] (weight w * (length + g - c)) of
-    the sorted centres.  A window edge x outside [0, 1) is located in the
-    shifted copy c + floor(x) of the centres, whose prefix sums follow from
-    the prefix sums of one copy and its totals, so the centres are sorted and
-    summed once, never copied.
-    """
-    order = np.argsort(centres)
-    c = centres[order]
-    ws = w[order]
-    del order
-    cum_w = _prefix_sums(ws)
-    cum_wc = _prefix_sums(np.multiply(ws, c, out=ws))
-    total_w, total_wc = cum_w[-1], cum_wc[-1]
-
-    def prefix(x: np.ndarray, side: str) -> tuple[np.ndarray, np.ndarray]:
-        # sums of w and w*c over the centres of every copy c + m below x,
-        # counted from the start of copy 0
-        m = np.floor(x)
-        k = np.searchsorted(c, x - m, side=side)
-        pw = cum_w[k] + m * total_w
-        pwc = cum_wc[k] + m * cum_w[k] + m * total_wc + 0.5 * m * (m - 1.0) * total_w
-        return pw, pwc
-
-    lo_w, lo_wc = prefix(g - length, "left")
-    mid_w, mid_wc = prefix(g, "right")
-    hi_w, hi_wc = prefix(g + length, "right")
-    left = (length - g) * (mid_w - lo_w) + (mid_wc - lo_wc)
-    right = (length + g) * (hi_w - mid_w) - (hi_wc - mid_wc)
-    return left + right
-
-
 def perfect_profile(
     spec: CurveSpec, g_grid: int = G_GRID, v_quadrature: int = V_QUADRATURE
 ) -> PerfectProfile:
@@ -221,9 +168,9 @@ def perfect_profile(
 
     Each fiber contributes the exact single-arc overlap, a tent of half-width
     L = 1/parts around c = (2t + L) mod 1; only the integral is quadrature,
-    taken over the curve parameter t by :func:`t_quadrature_rule`.  One sort
-    of the tent centres and prefix sums of w and w*c give f at all axes in
-    O((V + G) log V) for V quadrature nodes and G axes.
+    taken over the curve parameter t by :func:`t_quadrature_rule`.  The tents
+    are second differences of ramps, which ``overlap_sums`` sums at all axes
+    in O((V + G) log V) for V quadrature nodes and G axes.
     """
     if not 2 <= g_grid <= MAX_G_GRID:
         raise ValueError(f"need 2 to {MAX_G_GRID} reflection axes, got {g_grid}")
@@ -232,7 +179,7 @@ def perfect_profile(
     g_values = np.arange(g_grid) / g_grid
     centres = 2.0 * t + length
     centres -= np.floor(centres)  # mod 1, exact for centres >= 0 and faster than np.mod
-    f = _tent_sweep(centres, w, length, g_values)
+    f = overlap_sums(centres, w, g_values, (length, 0.0, -length), (1.0, -2.0, 1.0))
     target = length * length
     dev = np.abs(f - target)
     witness = int(np.argmax(dev))
@@ -451,6 +398,12 @@ def check_axioms(
             FLATNESS_TOL_TABLE if isinstance(profile, Table) else FLATNESS_TOL_CLOSED_FORM
         )
     prof = perfect_profile(spec, g_grid=g_grid, v_quadrature=v_quadrature)
+    # centres step by turns/(nodes - 1); a Simpson pair must fit in a tent side 1/parts, or
+    # the rule misses the tents (at steps 1, 1/2, 1/4 all centres land on 1, 2, 4 points)
+    needed = 2 * spec.parts * profile.turns + 1
+    if prof.v_nodes <= needed:
+        raise ValueError(f"A4 quadrature too coarse for turns={profile.turns:g}: "
+                         f"--v-quad must exceed 2 * parts * turns + 1 = {needed:g}")
     axioms["A4"] = AxiomVerdict(
         passed=prof.max_deviation <= flatness_tolerance,
         detail=(
@@ -573,6 +526,11 @@ class OracleEstimate:
         return asdict(self)
 
 
+def _frac(x: np.ndarray) -> np.ndarray:
+    """x mod 1, bit for bit as np.mod(x, 1.0), but without its sign fix-ups."""
+    return x - np.floor(x)
+
+
 def monte_carlo_overlap(
     spec: CurveSpec, g: float, samples: int, seed: int, chunk: int = 2_000_000
 ) -> OracleEstimate:
@@ -600,8 +558,8 @@ def monte_carlo_overlap(
         u = phi / (2.0 * math.pi)
         v = math.pi * r * r
         t = profile.inverse(v)
-        in_first = np.mod(u - t, 1.0) < length
-        in_reflected = np.mod(np.mod(g - u, 1.0) - t, 1.0) < length
+        in_first = _frac(u - t) < length
+        in_reflected = _frac(_frac(g - u) - t) < length
         hits += int(np.count_nonzero(in_first & in_reflected))
         remaining -= n
     p_hat = hits / samples

@@ -1,18 +1,19 @@
 """Reference implementations used to pin expected test values.
 
-These deliberately avoid the library's exact arc algebra: membership is
-counted on dense midpoint grids, or a single arc's overlap is written in
-closed form, so any agreement with the library is evidence, not tautology.
-The A4 profile's reference is the integral over heights v, each slice
-located by the profile's inverse, which the library's integral over the
-curve parameter t replaces.
+These deliberately avoid the library's overlap kernel: membership is
+counted on dense midpoint grids, a single arc's overlap is written in
+closed form, or two arc lists are intersected pairwise, so any agreement
+with the library is evidence, not tautology.  The A4 profile's reference is
+the integral over heights v, each slice located by the profile's inverse,
+which the library's integral over the curve parameter t replaces.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from yinyang.verify import MAX_V_QUADRATURE, _tent_sweep
+from yinyang.circle_sets import CircleSet, overlap_sums
+from yinyang.verify import MAX_V_QUADRATURE
 
 
 def grid_membership(arcs: list[tuple[float, float]], x: np.ndarray) -> np.ndarray:
@@ -29,6 +30,26 @@ def grid_reflection_overlap(arcs: list[tuple[float, float]], g: float, n: int = 
     x = (np.arange(n) + 0.5) / n
     hits = grid_membership(arcs, x) & grid_membership(arcs, np.mod(g - x, 1.0))
     return float(np.count_nonzero(hits)) / n
+
+
+def pairwise_reflection_overlap(s: CircleSet, g: float) -> float:
+    """measure(S intersect (g - S)) by intersecting every arc with every reflected arc.
+
+    O(n^2) in the arc count; the library reads the same measure from the
+    cumulative measure of S at the reflected endpoints.
+    """
+    reflected = []  # [a, b) reflects to (g - b, g - a], split at the wrap point, not merged
+    for a in s.arcs:
+        start = (g - a.end) % 1.0
+        end = start + a.length
+        reflected += [(start, end)] if end <= 1.0 else [(start, 1.0), (0.0, end - 1.0)]
+    total = 0.0
+    for a1 in s.arcs:
+        for a2, b2 in reflected:
+            lo, hi = max(a1.start, a2), min(a1.end, b2)
+            if hi > lo:
+                total += hi - lo
+    return total
 
 
 def grid_overlap_profile(
@@ -95,10 +116,11 @@ def v_quadrature_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
 def v_path_profile_values(spec, g_grid: int, v_quadrature: int) -> np.ndarray:
     """f(g) integrated over heights: v on :func:`v_quadrature_rule`, slices at alpha^{-1}(v).
 
-    The tent sweep is shared with the library; it is checked against the
-    G x V kernel on its own.
+    The overlap kernel is shared with the library; it is checked against
+    the G x V kernel on its own.
     """
     length = 1.0 / spec.parts
     nodes, w = v_quadrature_rule(v_quadrature)
     centres = np.mod(2.0 * spec.alpha_profile().inverse(nodes) + length, 1.0)
-    return _tent_sweep(centres, w, length, np.arange(g_grid) / g_grid)
+    g = np.arange(g_grid) / g_grid
+    return overlap_sums(centres, w, g, (length, 0.0, -length), (1.0, -2.0, 1.0))

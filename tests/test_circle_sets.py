@@ -12,9 +12,12 @@ from _oracles import (
     grid_max_overlap,
     grid_overlap_profile,
     grid_reflection_overlap,
+    pairwise_reflection_overlap,
 )
 
 TOL = 1e-12
+#: Bound between the cumulative-measure overlap and the pairwise double loop.
+KERNEL_TOL = 1e-14
 
 
 @st.composite
@@ -202,6 +205,40 @@ def test_overlap_symmetry_under_base_reflection(s, g):
     )
 
 
+def _disjoint_arcs(seed: int, count: int) -> list[tuple[float, float]]:
+    """`count` disjoint arcs between sorted uniform cuts, shifted so that some wrap."""
+    rng = np.random.default_rng(seed)
+    cuts = np.sort(rng.uniform(0.0, 1.0, 2 * count)) + rng.uniform(0.0, 1.0)
+    return [(float(a % 1.0), float(b - a)) for a, b in zip(cuts[0::2], cuts[1::2])]
+
+
+@given(circle_sets(), st.floats(0.0, 1.0))
+def test_reflection_overlap_matches_pairwise_oracle(s, g):
+    assert abs(s.reflection_overlap(g) - pairwise_reflection_overlap(s, g)) <= KERNEL_TOL
+
+
+EDGE_SETS = {
+    "empty": CircleSet.empty(),
+    "full": CircleSet.full(),
+    "wrapping": CircleSet.from_arcs([(0.9, 0.2), (0.4, 0.05), (0.7, 0.15)]),
+    # endpoints within EPS of 0 and 1 snap; those a little further do not
+    "snapped-ends": CircleSet.from_arcs([(EPS / 2, 0.3), (0.6, 0.4 - EPS / 2)]),
+    "near-ends": CircleSet.from_arcs([(3 * EPS, 0.3), (0.6, 0.4 - 3 * EPS)]),
+    "near-end-slivers": CircleSet.from_arcs([(2 * EPS, 0.25), (0.5, 0.5 - 2 * EPS), (0.3, 3 * EPS)]),
+    **{f"32-arcs-seed{seed}": CircleSet.from_arcs(_disjoint_arcs(seed, 32)) for seed in range(3)},
+}
+
+
+@pytest.mark.parametrize("name", EDGE_SETS)
+def test_reflection_overlap_matches_pairwise_oracle_on_edge_sets(name):
+    s = EDGE_SETS[name]
+    bp = s.overlap_profile().breakpoints
+    axes = [0.0, EPS / 2, 2 * EPS, 0.5, 1.0 - 2 * EPS, 1.0 - EPS / 2, *bp[:: max(1, len(bp) // 64)]]
+    axes += list(np.random.default_rng(3).uniform(0.0, 1.0, 64))
+    for g in axes:
+        assert abs(s.reflection_overlap(g) - pairwise_reflection_overlap(s, g)) <= KERNEL_TOL, g
+
+
 def test_overlap_symmetry_under_base_reflection_at_tolerance_axis():
     s = CircleSet.from_arcs([(0.0, 0.25)])
     g = 1e-12
@@ -221,6 +258,14 @@ def test_mean_overlap_examples():
 @given(circle_sets())
 def test_mean_overlap_equals_measure_squared(s):
     assert abs(s.mean_overlap() - s.measure() ** 2) <= TOL
+
+
+@pytest.mark.parametrize("count", [32, 128])
+def test_mean_overlap_equals_measure_squared_for_many_arcs(count):
+    # about 33 000 profile breakpoints at 128 arcs; the bound is 10x inside TOL
+    s = CircleSet.from_arcs(_disjoint_arcs(count, count))
+    assert len(s.arcs) >= count
+    assert abs(s.mean_overlap() - s.measure() ** 2) <= 1e-13
 
 
 @given(circle_sets())

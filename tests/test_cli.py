@@ -133,6 +133,15 @@ def test_work_size_over_cap_exits_two(argv, limit, capsys):
     assert captured.err.startswith("error:") and str(limit) in captured.err
 
 
+def test_verify_a_t_rule_too_coarse_for_a4_exits_two(capsys):
+    # at the default --v-quad the 100 000-turn spiral's tent centres all land on one point
+    code = run(["verify", "--family", "fermat", "--turns", "100000"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "--v-quad" in captured.err, captured.err
+
+
 def test_verify_bad_axiom_id_exits_two():
     code = run(["verify", "--family", "fermat", *FAST_VERIFY, "--axioms", "A9"])
     assert code == 2

@@ -25,6 +25,7 @@ from yinyang.verify import (
     MAX_V_QUADRATURE,
     V_QUADRATURE,
     AxiomVerdict,
+    _frac,
     applicable_relations,
     check_axioms,
     m_function,
@@ -512,6 +513,22 @@ def test_check_axioms_validates_flatness_tolerance():
     assert check_axioms(spec, flatness_tolerance=0.0, **FAST).tolerances["flatness"] == 0.0
 
 
+@pytest.mark.parametrize("turns, parts", [(100_000.0, 2), (50_000.0, 3), (25_000.0, 4)])
+def test_check_axioms_refuses_a_t_rule_too_coarse_for_the_tents(turns, parts):
+    # at the default 100 001 nodes the tent centres step by 1, 1/2 or 1/4 and land on
+    # 1, 2 or 4 points: these balanced spirals used to fail A4 by up to 0.25
+    spec = CurveSpec(family="fermat", turns=turns, parts=parts)
+    with pytest.raises(ValueError, match="--v-quad") as exc:
+        check_axioms(spec)
+    assert f"turns={turns:g}" in str(exc.value)
+
+
+def test_check_axioms_accepts_a_t_rule_just_fine_enough():
+    # 2 * parts * turns = 99 996 < 100 000 intervals
+    report = check_axioms(CurveSpec(family="fermat", turns=24_999.0))
+    assert report.axioms["A4"].passed
+
+
 def test_rotation_check_validation():
     with pytest.raises(ValueError):
         rotation_check(CurveSpec(family="fermat", turns=1.0), q_max=1)
@@ -551,6 +568,14 @@ def test_oracle_agrees_with_quadrature_on_counterexample():
     est = monte_carlo_overlap(spec, g=g, samples=1_000_000, seed=77)
     quad_value = prof.values[int(round(g * len(prof.g))) % len(prof.g)]
     assert abs(est.value - quad_value) <= 3.0 * est.stderr
+
+
+def test_frac_matches_np_mod_bit_for_bit():
+    tiny = np.nextafter(0.0, 1.0)
+    adversarial = [-0.0, 0.0, -tiny, tiny, -1e-300, -1e-17, -np.nextafter(1.0, 0.0), -1.0,
+                   -np.nextafter(1.0, 2.0), -2.0, -3.0, 3.0, -2.5, np.nextafter(-3.0, 0.0)]
+    x = np.concatenate([adversarial, np.random.default_rng(0).uniform(-3.0, 3.0, 200_000)])
+    assert np.array_equal(_frac(x).view(np.int64), np.mod(x, 1.0).view(np.int64))
 
 
 def test_oracle_validation():
