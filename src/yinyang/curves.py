@@ -40,6 +40,8 @@ from .geometry import DiskPoint, check_parts, disk_to_cylinder, finite, mod1
 MAX_TURNS = 1e6
 
 _INVERSE_BISECTIONS = 64  # enough to exhaust float64 resolution on (0, turns/2]
+_GUESS_KNOTS = 4097  # guess within about 5e-8 (5e-5 where alpha' nears 0): two Newton steps reach rounding
+_CERTIFY_DELTA = 4e-15  # bracket half-width, some 36 ulp of u = 1/2: above alpha's rounding noise
 
 
 class AlphaProfile(ABC):
@@ -49,7 +51,7 @@ class AlphaProfile(ABC):
     profile is strictly increasing from 0 (exclusive) at u -> 0 to 1 at
     u = domain_end = turns/2.  A family gives the formula ``_alpha`` and its
     ``derivative``, may list interior ``seams`` where the derivative is not
-    smooth, and may replace the bisection ``_inverse`` by a closed form.
+    smooth, and may replace the certified Newton ``_inverse`` by a closed form.
     """
 
     def __init__(self, turns: float):
@@ -67,11 +69,15 @@ class AlphaProfile(ABC):
         return float(out) if scalar else out
 
     def inverse(self, v):
-        """The unique u with alpha(u) = v, for v in (0, 1]."""
+        """The u in [0, domain_end] with alpha(u) = v, for v in [0, 1 + 1e-12].
+
+        v = 0 gives u = 0 and v above alpha(domain_end) gives domain_end; the
+        slack above 1 absorbs rounding in callers that compute v.
+        """
         scalar = np.ndim(v) == 0
         v = np.asarray(v, dtype=float)
         if not np.all((v >= 0.0) & (v <= 1.0 + 1e-12)):  # NaN fails both comparisons
-            raise ValueError("inverse argument must lie in (0, 1]")
+            raise ValueError("inverse argument must lie in [0, 1 + 1e-12]")
         out = self._inverse(v)
         return float(out) if scalar else out
 
@@ -88,6 +94,37 @@ class AlphaProfile(ABC):
         return np.array([0.0, self.domain_end])
 
     def _inverse(self, v: np.ndarray) -> np.ndarray:
+        """A tabulated first guess, two Newton steps, and a bracket that certifies each root.
+
+        alpha is increasing, so alpha(u - d) < v <= alpha(u + d) proves that the
+        root lies within d of u whether or not Newton converged; a residual alone
+        would not, where alpha' is small.  Points that fail go to :meth:`_bisect`.
+        """
+        end, d = self.domain_end, _CERTIFY_DELTA
+        flat = v.reshape(-1)
+        u = self._first_guess(flat)
+        for _ in range(2):
+            u = np.clip(u - (self._alpha(u) - flat) / self.derivative(u), 0.0, end)
+        certified = (((u <= d) | (self._alpha(u - d) < flat))
+                     & ((u >= end - d) | (flat <= self._alpha(u + d))))
+        if not certified.all():
+            fails = ~certified
+            u[fails] = self._bisect(flat[fails])
+        return u.reshape(v.shape)
+
+    def _first_guess(self, v: np.ndarray) -> np.ndarray:
+        """alpha^{-1} interpolated from a table of u at uniform heights, built per call."""
+        steps = _GUESS_KNOTS - 1
+        knots = np.linspace(0.0, self.domain_end, _GUESS_KNOTS)
+        # the heights are sorted, so this interp is cheap, and each v then finds
+        # its cell by floor(v * steps) instead of a binary search
+        u_at = np.interp(np.linspace(0.0, 1.0, _GUESS_KNOTS), self._alpha(knots), knots)
+        x = v * steps
+        cell = np.minimum(x.astype(np.intp), steps - 1)
+        return u_at[cell] + (x - cell) * np.diff(u_at)[cell]
+
+    def _bisect(self, v: np.ndarray) -> np.ndarray:
+        """The root by 64 halvings of [0, domain_end]: the fallback of :meth:`_inverse`."""
         lo = np.zeros_like(v)
         hi = np.full_like(v, self.domain_end)
         for _ in range(_INVERSE_BISECTIONS):

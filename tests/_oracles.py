@@ -4,8 +4,8 @@ These deliberately avoid the library's overlap kernel: membership is
 counted on dense midpoint grids, a single arc's overlap is written in
 closed form, or two arc lists are intersected pairwise, so any agreement
 with the library is evidence, not tautology.  The A4 profile's reference is
-the integral over heights v, each slice located by the profile's inverse,
-which the library's integral over the curve parameter t replaces.
+the integral over heights v, each slice located by a plain bisection of the
+profile, which the library's integral over the curve parameter t replaces.
 """
 
 from __future__ import annotations
@@ -113,6 +113,23 @@ def v_quadrature_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, w
 
 
+def bisect_inverse(profile, v) -> np.ndarray:
+    """alpha^{-1}(v) by 64 halvings of [0, domain_end] on ``profile.evaluate``.
+
+    The library's inverse takes certified Newton steps and bisects only
+    where the certificate fails, or uses a family's closed form.
+    """
+    v = np.asarray(v, dtype=float)
+    lo = np.zeros_like(v)
+    hi = np.full_like(v, profile.domain_end)
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        below = profile.evaluate(mid) < v
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
+
+
 def v_path_profile_values(spec, g_grid: int, v_quadrature: int) -> np.ndarray:
     """f(g) integrated over heights: v on :func:`v_quadrature_rule`, slices at alpha^{-1}(v).
 
@@ -121,6 +138,6 @@ def v_path_profile_values(spec, g_grid: int, v_quadrature: int) -> np.ndarray:
     """
     length = 1.0 / spec.parts
     nodes, w = v_quadrature_rule(v_quadrature)
-    centres = np.mod(2.0 * spec.alpha_profile().inverse(nodes) + length, 1.0)
+    centres = np.mod(2.0 * bisect_inverse(spec.alpha_profile(), nodes) + length, 1.0)
     g = np.arange(g_grid) / g_grid
     return overlap_sums(centres, w, g, (length, 0.0, -length), (1.0, -2.0, 1.0))

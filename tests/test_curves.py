@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from _oracles import bisect_inverse
 from yinyang.curves import (
     MAX_TURNS,
     AlphaProfile,
@@ -185,6 +186,68 @@ def test_inverse_and_section_refuse_nan():
             profile.inverse(np.array([0.5, math.nan]))
     with pytest.raises(ValueError, match="inverse"):
         section(CurveSpec(family="sine", lam=0.1), math.nan)
+
+
+def test_inverse_states_the_range_it_accepts():
+    for profile in (Fermat(1.0), Sine(0.1), Ck(1.0, 1), Table(_quadratic_table())):
+        assert profile.inverse(0.0) == pytest.approx(0.0, abs=1e-15)
+        assert profile.inverse(1.0 + 1e-12) == pytest.approx(profile.domain_end, abs=1e-12)
+        for bad in (-1e-300, 1.0 + 2e-12):
+            with pytest.raises(ValueError, match=r"\[0, 1 \+ 1e-12\]"):
+                profile.inverse(bad)
+
+
+def _ck_lambda_max(k):
+    """Largest lambda keeping the C^k profile increasing: 2 / max(-d/du bump), on a grid."""
+    u = np.linspace(0.0, 0.25, 200_001)
+    slope = (k + 1) * u**k * (0.25 - u) ** k * (0.25 - 2.0 * u)
+    return float(2.0 / -slope.min())
+
+
+CK_LAMBDA_MAX = {k: _ck_lambda_max(k) for k in range(4)}
+INVERSE_BOUND = 1e-14  # the certificate's half-width is 4e-15; bisection's own noise is below
+
+
+@pytest.mark.parametrize("profile", [pytest.param(Sine(0.2499), id="sine-0.2499")] + [
+    pytest.param(Ck(0.999 * CK_LAMBDA_MAX[k], k), id=f"ck{k}-0.999max") for k in range(4)])
+def test_inverse_matches_bisection_near_the_monotonicity_limit(profile):
+    # alpha' falls to about 1e-3 here: two uncertified Newton steps were up to 1.2e-2 off
+    v = np.random.default_rng(20261018).random(100_000)
+    assert np.max(np.abs(profile.inverse(v) - bisect_inverse(profile, v))) <= INVERSE_BOUND
+
+
+class _SteepSine(Sine):
+    """A sine profile whose derivative is 10x too steep, so Newton only crawls."""
+
+    def derivative(self, u):
+        return 10.0 * super().derivative(u)
+
+    def _bisect(self, v):
+        self.bisected = v.size
+        return super()._bisect(v)
+
+
+def test_inverse_falls_back_to_bisection_where_the_bracket_fails():
+    profile = _SteepSine(0.1)
+    v = np.random.default_rng(20261019).random(100_000)
+    assert np.max(np.abs(profile.inverse(v) - bisect_inverse(profile, v))) <= INVERSE_BOUND
+    assert profile.bisected > 90_000
+
+
+@pytest.mark.parametrize("profile", [
+    pytest.param(Sine(lam), id=f"sine-{lam}") for lam in (0.01, 0.08, 0.16, 0.24)] + [
+    pytest.param(Ck(share * CK_LAMBDA_MAX[k], k), id=f"ck{k}-{share}max")
+    for k in range(4) for share in (0.2, 0.5, 0.9)])
+def test_inverse_matches_bisection_sweep(profile):
+    ends = (0.0, 1.0, 1.0 + 1e-13)
+    for v in ends:
+        u = profile.inverse(v)
+        assert type(u) is float
+        assert abs(u - float(bisect_inverse(profile, v))) <= INVERSE_BOUND
+    for v in (np.array(ends), np.random.default_rng(7).random(100_000).reshape(250, 400)):
+        u = profile.inverse(v)
+        assert u.shape == v.shape
+        assert np.max(np.abs(u - bisect_inverse(profile, v))) <= INVERSE_BOUND
 
 
 # -- derivatives and seams ------------------------------------------------------------

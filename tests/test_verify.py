@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from _oracles import v_path_profile_values, v_quadrature_rule
+from _oracles import bisect_inverse, v_path_profile_values, v_quadrature_rule
 from yinyang.circle_sets import CircleSet, arc_reflection_overlap_into
 from yinyang.curves import (
     Ck,
@@ -497,7 +497,7 @@ def test_rotation_check_matches_slice_algebra():
     for spec in (CurveSpec(family="fermat", turns=1.5, parts=2), CurveSpec(family="sine", lam=0.1, parts=3)):
         nodes, w = v_quadrature_rule(101)
         slices = [CircleSet.from_arcs([(float(t) % 1.0, 1.0 / spec.parts)])
-                  for t in spec.alpha_profile().inverse(nodes)]
+                  for t in bisect_inverse(spec.alpha_profile(), nodes)]
         rc = rotation_check(spec, q_max=5)
         for p, q in reduced_rotations(5):
             fibers = np.array([s.rotation_invariant_part(p, q).measure() for s in slices])
