@@ -1,10 +1,11 @@
 """Exact algebra of finite unions of arcs on the circle R/Z.
 
-A :class:`CircleSet` is a canonical, sorted union of half-open arcs
-[start, start + length).  All endpoints are plain floats and all set
-operations (intersection, complement, translation, reflection) produce
-exact endpoint arithmetic, so measures come out correct to float rounding
-rather than to some sampling resolution.
+A :class:`CircleSet` is its canonical pieces: sorted, disjoint half-open
+intervals [start, end) of [0, 1) as float pairs.  Every set operation
+(intersection, complement, translation, reflection) reads and writes those
+pairs, so measures come out correct to float rounding rather than to some
+sampling resolution, and complement is an exact involution.  :class:`Arc`
+(start, length) is only outside input and the read-only ``arcs`` view.
 
 The payoff is the reflection-overlap machinery: for a set S and a
 reflection x -> g - x of the circle, the overlap
@@ -85,15 +86,15 @@ def _merge(pieces: Iterable[tuple[float, float]]) -> tuple[tuple[float, float], 
         return ()
     merged: list[list[float]] = [list(items[0])]
     for a, b in items[1:]:
-        if a <= merged[-1][1] + EPS:
+        if a - merged[-1][1] <= EPS:
             merged[-1][1] = max(merged[-1][1], b)
         else:
             merged.append([a, b])
-    # a gap of at most EPS at either end of [0, 1) closes like an interior one,
-    # so the complement never drops a sliver that the measure still counts
+    # every gap of at most EPS closes, inside [0, 1) or at either end, by the same difference
+    # test as the piece filter, so the complement keeps each sliver and is an exact involution
     if merged[0][0] <= EPS:
         merged[0][0] = 0.0
-    if merged[-1][1] >= 1.0 - EPS:
+    if 1.0 - merged[-1][1] <= EPS:
         merged[-1][1] = 1.0
     return tuple((a, b) for a, b in merged)
 
@@ -144,36 +145,35 @@ def overlap_sums(points: np.ndarray, weights: np.ndarray, g, shifts, coefs) -> n
 class CircleSet:
     """Canonical finite union of disjoint half-open arcs on the circle.
 
-    Stored arcs never cross the wrap point: a set wrapping 1 -> 0 is kept
-    split, e.g. an arc of length 0.2 starting at 0.9 is represented as
-    the two arcs [0.9, 1.0) and [0.0, 0.1).  Equal sets therefore have
-    identical representations.
+    ``pieces`` holds exactly what ``_merge`` returns: sorted, disjoint
+    (start, end) pairs with 0 <= start < end <= 1.  A set wrapping 1 -> 0 is
+    kept split, e.g. an arc of length 0.2 starting at 0.9 is the two pieces
+    (0.0, 0.1) and (0.9, 1.0).  Equal sets therefore have identical pieces.
     """
 
-    arcs: tuple[Arc, ...]
+    pieces: tuple[tuple[float, float], ...]
 
     @classmethod
     def empty(cls) -> "CircleSet":
-        return cls(arcs=())
+        return cls(())
 
     @classmethod
     def full(cls) -> "CircleSet":
-        return cls(arcs=(Arc(0.0, 1.0),))
+        return cls(((0.0, 1.0),))
 
     @classmethod
     def from_arcs(cls, arcs: Iterable[Arc | tuple[float, float]]) -> "CircleSet":
-        """Normalize arbitrary arcs (overlapping, wrapping, unsorted) to canonical form."""
+        """Normalize arbitrary arcs (overlapping, wrapping, unsorted) to canonical form.
+
+        A piece (a, b) whose end came from another arc ends at a + (b - a), which its
+        arc in the ``arcs`` view reproduces, so ``from_arcs(s.arcs) == s``.
+        """
         pieces: list[tuple[float, float]] = []
         for a in arcs:
             if not isinstance(a, Arc):
                 a = Arc(*a)
             pieces.extend(_split_arc(a.start, a.length))
-        return cls._from_pieces(pieces)
-
-    @classmethod
-    def _from_pieces(cls, pieces: Iterable[tuple[float, float]]) -> "CircleSet":
-        """Canonical set from linear pieces (a, b) with 0 <= a < b <= 1."""
-        return cls(arcs=tuple(Arc(a, b - a) for a, b in _merge(pieces)))
+        return cls(tuple((a, a + (b - a)) for a, b in _merge(pieces)))
 
     @classmethod
     def from_json(cls, data: list[list[float]]) -> "CircleSet":
@@ -182,51 +182,48 @@ class CircleSet:
             raise ValueError("a circle set must be a JSON list of [start, length] pairs")
         return cls.from_arcs(data)
 
-    def to_json(self) -> list[list[float]]:
-        return [[a.start, a.length] for a in self.arcs]
+    @property
+    def arcs(self) -> tuple[Arc, ...]:
+        return tuple(Arc(a, b - a) for a, b in self.pieces)
 
-    def _bounds(self) -> list[tuple[float, float]]:
-        return [(a.start, a.end) for a in self.arcs]
+    def to_json(self) -> list[list[float]]:
+        return [[a, b - a] for a, b in self.pieces]
 
     # -- measure and membership ------------------------------------------
 
     def measure(self) -> float:
-        return math.fsum(a.length for a in self.arcs)
+        return math.fsum(b - a for a, b in self.pieces)
 
     def contains(self, x: float) -> bool:
         x = mod1(x)
-        return any(a.start <= x < a.end for a in self.arcs)
+        return any(a <= x < b for a, b in self.pieces)
 
     # -- set operations ---------------------------------------------------
 
     def intersect(self, other: "CircleSet") -> "CircleSet":
-        return CircleSet._from_pieces(
-            (max(a1, a2), min(b1, b2)) for a1, b1 in self._bounds() for a2, b2 in other._bounds()
-        )
+        pairs = ((max(a1, a2), min(b1, b2)) for a1, b1 in self.pieces for a2, b2 in other.pieces)
+        return CircleSet(_merge(pairs))
 
     def complement(self) -> "CircleSet":
-        starts = [a.start for a in self.arcs]
-        ends = [a.end for a in self.arcs]
-        return CircleSet._from_pieces(zip([0.0] + ends, starts + [1.0]))
+        # the gaps run from each end to the next start: 0, a1, b1, ..., an, bn, 1 taken in pairs
+        bounds = [0.0, *(x for piece in self.pieces for x in piece), 1.0]
+        return CircleSet(_merge(zip(bounds[::2], bounds[1::2])))
 
     def translate(self, h: float) -> "CircleSet":
         h = mod1(float(h))
-        pieces = []
-        for a, b in self._bounds():
-            pieces.extend(_split_arc(a + h, b - a))
-        return CircleSet._from_pieces(pieces)
+        return CircleSet(_merge(p for a, b in self.pieces for p in _split_arc(a + h, b - a)))
 
     def reflect(self, g: float) -> "CircleSet":
         """The reflected set {g - x : x in S}."""
         # [a, b) reflects to (g-b, g-a]; the endpoint flip is measure zero
         g = float(g)
-        return self._from_pieces(p for a, b in self._bounds() for p in _split_arc(g - b, b - a))
+        return CircleSet(_merge(p for a, b in self.pieces for p in _split_arc(g - b, b - a)))
 
     # -- reflection overlap -------------------------------------------------
 
     def _overlaps(self, g: np.ndarray) -> np.ndarray:
-        ends = np.array([[a.start, a.end] for a in self.arcs]).reshape(-1)
-        signs = np.tile([1.0, -1.0], len(self.arcs))
+        ends = np.array(self.pieces).reshape(-1)
+        signs = np.tile([1.0, -1.0], len(self.pieces))
         return overlap_sums(ends, signs, g, -ends, signs)
 
     def reflection_overlap(self, g: float) -> float:
@@ -240,7 +237,7 @@ class CircleSet:
         (mod 1), so evaluating at those breakpoints determines the whole
         function.
         """
-        endpoints = sorted({a.start for a in self.arcs} | {mod1(a.end) for a in self.arcs})
+        endpoints = sorted({mod1(e) for piece in self.pieces for e in piece})
         sums = sorted({mod1(e1 + e2) for i, e1 in enumerate(endpoints) for e2 in endpoints[i:]})
         breakpoints: list[float] = []
         for s in sums:
@@ -276,8 +273,9 @@ class CircleSet:
     def rotation_invariant_part(self, p: int, q: int) -> "CircleSet":
         """Largest subset of S invariant under rotation by p/q.
 
-        Equals the intersection of all translates of S by multiples of p/q.
-        Only rational rotations in lowest terms are supported.
+        Equals the intersection of all translates of S by multiples of p/q,
+        which in lowest terms are the multiples k/q.  Only rational rotations
+        in lowest terms are supported.
         """
         if not (isinstance(p, int) and isinstance(q, int)):
             raise ValueError("p and q must be integers")
@@ -288,11 +286,10 @@ class CircleSet:
         if math.gcd(p, q) != 1:
             raise ValueError(f"p/q must be in lowest terms, got {p}/{q}")
         result = self
-        for n in range(1, q):
-            # reduce n*p mod q before dividing so repeated shifts stay exact
-            result = result.intersect(self.translate(((n * p) % q) / q))
-            if not result.arcs:
-                return result
+        for k in range(1, q):
+            result = result.intersect(self.translate(k / q))
+            if not result.pieces:
+                break
         return result
 
 

@@ -182,13 +182,12 @@ class Ck(AlphaProfile):
         if isinstance(k, bool) or not (isinstance(k, int) and k >= 0):
             raise ValueError(f"smoothness order k must be a non-negative integer, got {k}")
         self.lam, self.k = lam, k
-        grid = np.linspace(0.0, 0.25, 10_001)
-        deriv = self.derivative(grid)
-        worst = int(np.argmin(deriv))
-        if deriv[worst] <= 0.0:
+        # on [0, 1/4] the derivative is least at u*, where k (1/4 - 2u)^2 = 2u (1/4 - u)
+        worst = 0.125 + 0.125 / math.sqrt(2 * k + 1)
+        deriv = float(self.derivative(worst))
+        if deriv <= 0.0:
             raise ValueError(
-                f"lambda={lam} breaks monotonicity: derivative {deriv[worst]:.6g} "
-                f"at u={grid[worst]:.6g}"
+                f"lambda={lam} breaks monotonicity: derivative {deriv:.6g} at u={worst:.6g}"
             )
 
     def _half(self, u):

@@ -102,8 +102,13 @@ class DiskPoint:
 
 
 def disk_to_cylinder(p: DiskPoint) -> CylinderPoint:
-    """Map a disk point to cylinder coordinates (phi/2pi, pi r^2)."""
-    return CylinderPoint(u=_mod_half_open_high(p.phi / TWO_PI, 1.0), v=math.pi * p.r * p.r)
+    """Map a disk point to cylinder coordinates (phi/2pi, pi r^2).
+
+    v is clamped to 1, so a radius in the rounding slack that DiskPoint allows
+    above DISK_RADIUS maps onto the rim.
+    """
+    v = min(math.pi * p.r * p.r, 1.0)
+    return CylinderPoint(u=_mod_half_open_high(p.phi / TWO_PI, 1.0), v=v)
 
 
 def cylinder_to_disk(p: CylinderPoint) -> DiskPoint:

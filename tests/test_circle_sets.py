@@ -81,6 +81,15 @@ def test_normalize_idempotent(s):
     assert again == s
 
 
+def test_arcs_view_rebuilds_a_piece_whose_end_came_from_another_arc():
+    # the union ends at 0.5 + 0.475 = 0.975, but no length from its start a rounds
+    # a + length to 0.975, so from_arcs ends the piece where its arc view does
+    a = 0.43313387982969825
+    s = CircleSet.from_arcs([(a, 0.1), (0.5, 0.475)])
+    assert CircleSet.from_arcs(s.arcs) == s
+    assert s.measure() == pytest.approx(0.975 - a, abs=TOL)
+
+
 # -- measures of basic sets ----------------------------------------------------
 
 
@@ -113,6 +122,19 @@ def test_complement_keeps_measure_with_sliver_gaps_at_zero():
     t = CircleSet.from_arcs([(EPS / 2, 0.4), (0.5, 0.5 - EPS / 2)])
     assert t.arcs[-1].end == 1.0
     assert t.complement().measure() == pytest.approx(1.0 - t.measure(), abs=TOL)
+
+
+@given(circle_sets())
+def test_complement_is_an_involution(s):
+    assert s.complement().complement() == s
+
+
+def test_complement_of_complement_keeps_every_endpoint():
+    # a + (b - a) need not equal b: an end rebuilt from a stored length moved the
+    # start 0.854 to 0.8539999999999999 here
+    s = CircleSet.from_arcs([(0.854, 0.056), (0.052, 0.132)])
+    assert s.complement().complement() == s
+    assert s.complement().complement().to_json() == s.to_json()
 
 
 @given(circle_sets(), st.floats(0.0, 1.0))

@@ -198,13 +198,36 @@ def test_inverse_states_the_range_it_accepts():
 
 
 def _ck_lambda_max(k):
-    """Largest lambda keeping the C^k profile increasing: 2 / max(-d/du bump), on a grid."""
-    u = np.linspace(0.0, 0.25, 200_001)
-    slope = (k + 1) * u**k * (0.25 - u) ** k * (0.25 - 2.0 * u)
-    return float(2.0 / -slope.min())
+    """Largest lambda keeping the C^k profile increasing: 2 / max(-d/du bump).
+
+    The bump's slope is falling, then rising on [1/8, 1/4] (falling throughout
+    for k = 0), so a ternary search finds its minimum there.
+    """
+    def slope(u):
+        return (k + 1) * (u * (0.25 - u)) ** k * (0.25 - 2.0 * u)
+
+    lo, hi = 0.125, 0.25
+    for _ in range(200):
+        m1, m2 = lo + (hi - lo) / 3.0, hi - (hi - lo) / 3.0
+        if slope(m1) < slope(m2):
+            hi = m2
+        else:
+            lo = m1
+    return 2.0 / -slope(0.5 * (lo + hi))
 
 
-CK_LAMBDA_MAX = {k: _ck_lambda_max(k) for k in range(4)}
+CK_LAMBDA_MAX = {k: _ck_lambda_max(k) for k in range(5)}
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_ck_refuses_every_lambda_past_the_monotonicity_limit(k):
+    # for k >= 1 alpha' is least inside (1/8, 1/4), where a check on grid points
+    # misses it: 1e-10 past the limit alpha' is only about -2e-10 there
+    Ck(CK_LAMBDA_MAX[k] * (1.0 - 1e-10), k)
+    with pytest.raises(ValueError, match=r"derivative -.* at u="):
+        Ck(CK_LAMBDA_MAX[k] * (1.0 + 1e-10), k)
+
+
 INVERSE_BOUND = 1e-14  # the certificate's half-width is 4e-15; bisection's own noise is below
 
 
@@ -431,6 +454,14 @@ def test_contains_consistent_with_section_100k():
     assert np.array_equal(member, np.mod(u - t, 1.0) < 0.5)
     for i in rng.choice(100_000, size=2000, replace=False):
         assert member[i] == section(spec, float(v[i])).contains(float(u[i]))
+
+
+def test_contains_accepts_a_point_in_the_rim_slack():
+    # DiskPoint allows radii up to DISK_RADIUS * (1 + 1e-12); they map onto the rim
+    spec = CurveSpec(family="fermat")
+    on_rim = contains(spec, DiskPoint(r=DISK_RADIUS, phi=1.0))
+    for r in (DISK_RADIUS * (1.0 + 1e-13), DISK_RADIUS * (1.0 + 1e-12)):
+        assert contains(spec, DiskPoint(r=r, phi=1.0)) == on_rim
 
 
 def test_contains_consistent_with_section_sine():

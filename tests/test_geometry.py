@@ -27,6 +27,12 @@ def test_disk_to_cylinder_boundary():
     assert c.v == pytest.approx(1.0, abs=TOL)
 
 
+def test_disk_to_cylinder_maps_the_rim_slack_onto_the_rim():
+    # DiskPoint allows radii up to DISK_RADIUS * (1 + 1e-12) to absorb rounding
+    for r in (DISK_RADIUS * (1.0 + 1e-13), DISK_RADIUS * (1.0 + 1e-12)):
+        assert disk_to_cylinder(DiskPoint(r=r, phi=1.0)).v == 1.0
+
+
 def test_disk_to_cylinder_half_angle():
     c = disk_to_cylinder(DiskPoint(r=DISK_RADIUS, phi=math.pi))
     assert c.u == pytest.approx(0.5, abs=TOL)
