@@ -1,6 +1,6 @@
 """Two independent routes to the same number.
 
-The quadrature route integrates exact per-slice overlaps over the height;
+The profile route integrates exact per-slice overlaps along the curve;
 the sampling route throws uniform points at the disk and counts.  They
 must agree within statistical error at every reflection axis, for flat
 and non-flat profiles alike.
@@ -17,7 +17,7 @@ for i, g in enumerate((0.12, 0.3, 0.8)):
     est = monte_carlo_overlap(spec, g=g, samples=500_000, seed=100 + i)
     quad = float(np.interp(g, prof.g, prof.values, period=1.0))
     sigma = abs(est.value - quad) / est.stderr
-    print(f"  g={g:.2f}: quadrature={quad:.5f}  sampled={est.value:.5f} "
+    print(f"  g={g:.2f}: profile={quad:.5f}  sampled={est.value:.5f} "
           f"+- {est.stderr:.5f}  ({sigma:.1f} stderr apart)")
 
 print()
@@ -29,5 +29,5 @@ for i, g in enumerate((0.0, 0.25, 0.6)):
     est = monte_carlo_overlap(crooked, g=g, samples=500_000, seed=200 + i)
     quad = float(np.interp(g, prof2.g, prof2.values, period=1.0))
     sigma = abs(est.value - quad) / est.stderr
-    print(f"  g={g:.2f}: quadrature={quad:.5f}  sampled={est.value:.5f} "
+    print(f"  g={g:.2f}: profile={quad:.5f}  sampled={est.value:.5f} "
           f"+- {est.stderr:.5f}  ({sigma:.1f} stderr apart)")

@@ -102,9 +102,9 @@ def _merge(pieces: Iterable[tuple[float, float]]) -> tuple[tuple[float, float], 
 def _prefix_sums(x: np.ndarray) -> np.ndarray:
     """[0, x0, x0 + x1, ..., sum(x)], rounding O(sqrt(n)) additions deep, not O(n).
 
-    A plain running sum of n positive terms can drift by n roundings (it
-    does for the periodic Simpson weights), so the terms are summed in
-    blocks of about sqrt(n) and the block totals are added on afterwards.
+    A plain running sum of n terms can drift by n roundings (it does for a
+    million Simpson weights), so the terms are summed in blocks of about
+    sqrt(n) and the block totals are added on afterwards.
     """
     n = len(x)
     b = max(1, math.isqrt(n))
@@ -117,27 +117,40 @@ def _prefix_sums(x: np.ndarray) -> np.ndarray:
     return out[: n + 1]
 
 
-def overlap_sums(points: np.ndarray, weights: np.ndarray, g, shifts, coefs) -> np.ndarray:
-    """sum_j coefs_j * Q(g + shifts_j) at every g, for Q(y) = sum_l w_l * (y - x_l)_+.
+def overlap_sums(points: np.ndarray, weights: np.ndarray, g, shifts, coefs, degree: int = 1) -> np.ndarray:
+    """sum_j coefs_j * Q(g + shifts_j) at every g, for Q(y) = sum_l w_l * (y - x_l)_+^d / d!.
 
-    Q sums over the copies x_l + m of the points x_l in [0, 1], counted from the
-    start of copy 0: Q(y) = y W(y) - C(y), where W and C sum w and w * x over the
-    copies below y (negatively below 0), so on [0, 1) Q sums the points below y.
-    One sort and the prefix sums of copy 0 give them; a shift costs one lookup per g.
+    The ramp degree d is 1 or 2.  Q sums over the copies x_l + m of the points
+    x_l in [0, 1], counted from the start of copy 0 (negatively below 0), so on
+    [0, 1) Q sums the points below y.  With S_p summing w * x^p over the copies
+    below y, Q is y S_0 - S_1 or (y^2 S_0 - 2 y S_1 + S_2) / 2.  One stable sort,
+    quick on presorted runs such as the A4 centres, and the prefix sums of
+    copy 0 give them; a shift costs one lookup per g.
     """
-    order = np.argsort(points)
-    x, w = points[order], weights[order]
+    if degree not in (1, 2):
+        raise ValueError(f"ramp degree must be 1 or 2, got {degree}")
+    order = np.argsort(points, kind="stable")
+    x, wx = points[order], weights[order]
     del order
-    cum_w = _prefix_sums(w)
-    cum_wx = _prefix_sums(np.multiply(w, x, out=w))
+    cum = [_prefix_sums(wx)]  # cum[p] sums w * x^p over copy 0
+    for _ in range(degree):
+        wx *= x
+        cum.append(_prefix_sums(wx))
+    w0, w1 = cum[0][-1], cum[1][-1]
     out = np.zeros(len(g))
     for shift, coef in zip(shifts, coefs):
         y = g + shift
-        m = np.floor(y)  # the copy that holds y
+        m = np.floor(y)  # the copy that holds y; copy j adds j to every point
         k = np.searchsorted(x, y - m, side="right")
-        sum_w = cum_w[k] + m * cum_w[-1]
-        sum_wx = cum_wx[k] + m * cum_w[k] + m * cum_wx[-1] + 0.5 * m * (m - 1.0) * cum_w[-1]
-        out += coef * (y * sum_w - sum_wx)
+        c0, c1 = cum[0][k], cum[1][k]
+        s0 = c0 + m * w0
+        s1 = c1 + m * c0 + m * w1 + 0.5 * m * (m - 1.0) * w0
+        if degree == 1:
+            out += coef * (y * s0 - s1)
+            continue
+        s2 = (cum[2][k] + m * (2.0 * c1 + m * c0) + m * cum[2][-1]
+              + m * (m - 1.0) * (w1 + (2.0 * m - 1.0) / 6.0 * w0))
+        out += coef * (0.5 * y * (y * s0 - 2.0 * s1) + 0.5 * s2)
     return out
 
 
@@ -325,9 +338,9 @@ def arc_reflection_overlap_into(
     ``neg_base`` must hold -(2*start + length) for the arc starts; the
     overlap of the arc [start, start + length) at axis g is then
     max(0, |((g + neg_base) mod 1) - 1/2| + length - 1/2).  Nothing in the
-    package calls it: the tests sum it over every axis as the reference for
-    ``perfect_profile``, which reads the same sums from :func:`overlap_sums`,
-    and the benchmark's tracer wraps it by name.
+    package calls it: the tests sum it over every fiber of the Simpson t-rule
+    oracle, at every axis, as the reference for the degree-1 ramps of
+    :func:`overlap_sums`, and the benchmark's tracer wraps it by name.
     """
     if length > 0.5:
         raise ValueError(f"kernel requires arc length <= 1/2, got {length}")

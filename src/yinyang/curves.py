@@ -18,13 +18,14 @@ of congruent parts.  Each family is one subclass of :class:`AlphaProfile`:
 * ``ck``, ``Ck(lam, k)`` -- one turn, alpha = f with
   f(u) = 2u + lam * u^(k+1) (1/4 - u)^(k+1) on [0, 1/4] and
   f(u) = 1/2 + f(u - 1/4) on [1/4, 1/2]; k times continuously
-  differentiable at the seam.  lam must keep f strictly increasing,
-  which is validated on a dense grid at construction.
+  differentiable at the seam.  lam must keep f strictly increasing:
+  the constructor checks f' at its closed-form minimiser on [0, 1/4].
 * ``custom``, ``Table(samples)`` -- a monotone sample table, interpolated linearly.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -112,16 +113,20 @@ class AlphaProfile(ABC):
             u[fails] = self._bisect(flat[fails])
         return u.reshape(v.shape)
 
-    def _first_guess(self, v: np.ndarray) -> np.ndarray:
-        """alpha^{-1} interpolated from a table of u at uniform heights, built per call."""
-        steps = _GUESS_KNOTS - 1
-        knots = np.linspace(0.0, self.domain_end, _GUESS_KNOTS)
-        # the heights are sorted, so this interp is cheap, and each v then finds
-        # its cell by floor(v * steps) instead of a binary search
+    @functools.cached_property
+    def _guess_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """u at the uniform heights k / (_GUESS_KNOTS - 1), and its steps, built once per profile."""
+        knots = np.linspace(0.0, self.domain_end, _GUESS_KNOTS)  # sorted heights: a cheap interp
         u_at = np.interp(np.linspace(0.0, 1.0, _GUESS_KNOTS), self._alpha(knots), knots)
+        return u_at, np.diff(u_at)
+
+    def _first_guess(self, v: np.ndarray) -> np.ndarray:
+        """alpha^{-1} from :attr:`_guess_table`; v finds its cell by floor(v * steps), not a search."""
+        steps = _GUESS_KNOTS - 1
+        u_at, du = self._guess_table
         x = v * steps
         cell = np.minimum(x.astype(np.intp), steps - 1)
-        return u_at[cell] + (x - cell) * np.diff(u_at)[cell]
+        return u_at[cell] + (x - cell) * du[cell]
 
     def _bisect(self, v: np.ndarray) -> np.ndarray:
         """The root by 64 halvings of [0, domain_end]: the fallback of :meth:`_inverse`."""

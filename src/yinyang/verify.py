@@ -16,12 +16,12 @@ Substituting v = alpha(t), dv = alpha'(t) dt gives
     f(g) = integral over t in (0, turns/2) of  tent(g - (2t + L)) alpha'(t) dt,
 
 whose tent centres are explicit in t, so no inverse is needed.
-``perfect_profile`` takes composite-Simpson nodes in t, split at the
-profile's seams, with weights w * alpha'(t).  A tent is a second difference
-of a ramp: f(g) = Q(g + L) - 2 Q(g) + Q(g - L) for Q(y) = sum w (y - c)_+,
-which ``circle_sets.overlap_sums`` reads at every axis from one sort of the
-centres; ``monte_carlo_overlap`` estimates the same quantity by throwing
-uniform points at the disk, an independent check on the quadrature path.
+``perfect_profile`` takes it exactly for the piecewise-linear interpolant of
+alpha on knots in t that hold every seam (alpha itself for fermat and tables):
+each segment adds a difference of the tent's antiderivative, quadratic ramps
+that ``circle_sets.overlap_sums`` reads at every axis from one sort of the
+centres.  ``monte_carlo_overlap`` estimates the same quantity by throwing
+uniform points at the disk, an independent check on that path.
 
 ``rotation_check`` integrates the largest rotation-invariant subset of
 each slice.  A slice is one arc of length L <= 1/2, so for a rotation p/q
@@ -79,11 +79,11 @@ FLATNESS_TOL_TABLE = 1e-4
 TURNING_ANGLE_TOL = 0.2  # radians, A5 sampling surrogate
 RESIDUAL_GRID = 10_000
 
-#: Default reflection axes and quadrature nodes of the A4 profile.
+#: Default reflection axes and interpolation knots of the A4 profile.
 G_GRID = 512
 V_QUADRATURE = 100_000
 
-#: Largest work sizes accepted: reflection axes, quadrature nodes, disk samples.
+#: Largest work sizes accepted: reflection axes, interpolation knots, disk samples.
 MAX_G_GRID = 65_536
 MAX_V_QUADRATURE = 2_000_001
 MAX_MC_SAMPLES = 10_000_000
@@ -91,58 +91,22 @@ MAX_MC_SAMPLES = 10_000_000
 MAX_Q = 1000
 
 
-def _spread(total: int, lengths: np.ndarray) -> np.ndarray:
-    """Interval counts, at least 1 each, summing to ``total`` and otherwise in proportion to
-    ``lengths``; pieces of equal length get equal counts whenever the counts allow it.
+def profile_knots(profile: AlphaProfile, n: int) -> np.ndarray:
+    """Knots t in [0, domain_end] of the piecewise-linear interpolant of alpha in A4.
 
-    With more pieces than ``total`` every piece gets one interval.
-    """
-    extra = max(total - len(lengths), 0)
-    cum = np.cumsum(lengths)
-    ends = np.rint(extra * (cum / cum[-1])).astype(np.int64)
-    return np.diff(ends, prepend=0) + 1
-
-
-def t_quadrature_rule(profile: AlphaProfile, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes t in [0, domain_end] and weights w * alpha'(t) for integrals over heights.
-
-    A sum over the rule approximates integral_0^1 F(v) dv = integral F(alpha(t)) alpha'(t) dt.
-    The node count is rounded up to odd, m, and the m - 1 intervals are spread
-    over the pieces between the profile's seams by length, at least one each
-    (so with more pieces than intervals the rule has more nodes).  Intervals
-    are numbered through all pieces; interval i pairs with interval i + 1 for
-    composite Simpson when i is even and both lie in one piece, and is a
-    trapezoid when its partner lies in another piece.  Neighbouring pieces
-    share the node at their seam, and each side weights it with its own
-    one-sided alpha', so a jump of alpha' there costs no accuracy.
+    n is rounded up to odd, m, and the m - 1 intervals go to the pieces between
+    the profile's seams in proportion to length, at least one each (so more
+    pieces than intervals make more knots); pieces of equal length get equal
+    counts whenever the counts allow it.  Every seam is a knot, so the
+    interpolant is alpha itself for fermat and tables.
     """
     if not 2 <= n <= MAX_V_QUADRATURE:
         raise ValueError(f"need 2 to {MAX_V_QUADRATURE} quadrature nodes, got {n}")
     seams = profile.seams()
-    lengths = np.diff(seams)
-    count = _spread((n | 1) - 1, lengths)
-    ends = np.cumsum(count)
-    starts = ends - count  # first interval of each piece
-    nodes = np.interp(np.arange(ends[-1] + 1.0), np.append(starts, ends[-1]), seams)
-    # in units of h/6 an interval weighs its left node 2 or 4 as the first or second
-    # of a Simpson pair and 3 as a trapezoid; its right node takes the rest of 6
-    left = np.empty(ends[-1])
-    left[0::2], left[1::2] = 2.0, 4.0
-    left[starts[starts % 2 == 1]] = 3.0
-    left[ends[ends % 2 == 1] - 1] = 3.0
-    right = np.repeat(lengths / (6.0 * count), count)  # h/6 of every interval
-    left *= right
-    right *= 6.0
-    right -= left
-    slope = profile.derivative(nodes)  # the left limit at a seam
-    w = np.empty_like(nodes)
-    np.multiply(left, slope[:-1], out=w[:-1])
-    w[-1] = 0.0
-    seam = starts[1:]  # an interval starting at a seam takes alpha' one ulp to its right
-    w[seam] += left[seam] * (profile.derivative(np.nextafter(seams[1:-1], np.inf)) - slope[seam])
-    right *= slope[1:]
-    w[1:] += right
-    return nodes, w
+    cum = np.cumsum(np.diff(seams))
+    extra = max((n | 1) - 1 - len(cum), 0)
+    ends = np.rint(extra * (cum / cum[-1])).astype(np.int64) + np.arange(1, len(cum) + 1)
+    return np.interp(np.arange(ends[-1] + 1.0), np.append(0, ends), seams)
 
 
 @dataclass(frozen=True)
@@ -164,23 +128,37 @@ class PerfectProfile:
 def perfect_profile(
     spec: CurveSpec, g_grid: int = G_GRID, v_quadrature: int = V_QUADRATURE
 ) -> PerfectProfile:
-    """Sample f(g) = integral_v of the slice reflection overlap, exactly per fiber.
+    """Sample f(g) exactly for the piecewise-linear interpolant of alpha on ``profile_knots``.
 
-    Each fiber contributes the exact single-arc overlap, a tent of half-width
-    L = 1/parts around c = (2t + L) mod 1; only the integral is quadrature,
-    taken over the curve parameter t by :func:`t_quadrature_rule`.  The tents
-    are second differences of ramps, which ``overlap_sums`` sums at all axes
-    in O((V + G) log V) for V quadrature nodes and G axes.
+    A segment of slope s adds s/2 times the change across it of T, the
+    antiderivative of the tent of half-width L = 1/parts, as its centres 2t + L
+    move at speed 2.  T grows by L^2 per period, with periodic part
+    P(u) = L^2 (1/2 - u) - (L - u)_+^2 / 2 + (u - 1 + L)_+^2 / 2 on [0, 1).  With
+    the slope jumps D_i = (s_i - s_{i-1}) / 2 at the knots t_i (s_{-1} = s_N = 0),
+
+        f(g) = L^2 (alpha_N - alpha_0) + sum_i D_i P(g - c_i),   c_i = (2 t_i + L) mod 1.
+
+    For g, c in [0, 1) the second difference Q(g + L) - 2 Q(g) + Q(g - L) of the
+    quadratic ramp Q(y) = (y - c)_+^2 / 2 of ``overlap_sums`` is
+    P(g - c) + L^2 (1/2 + g - c): the kernel reads the sum at all axes in
+    O((N + G) log N) for N knots and G axes, less that line.
     """
     if not 2 <= g_grid <= MAX_G_GRID:
         raise ValueError(f"need 2 to {MAX_G_GRID} reflection axes, got {g_grid}")
-    t, w = t_quadrature_rule(spec.alpha_profile(), v_quadrature)
+    profile = spec.alpha_profile()
+    t = profile_knots(profile, v_quadrature)
+    alpha = profile.evaluate(t)
+    rise = alpha[-1] - alpha[0]
+    jumps = np.diff(np.diff(alpha) / (2.0 * np.diff(t)), prepend=0.0, append=0.0)
     length = 1.0 / spec.parts
+    target = length * length
     g_values = np.arange(g_grid) / g_grid
     centres = 2.0 * t + length
+    del t, alpha  # freed before the sort: the peak stays at seven arrays of the knot count
     centres -= np.floor(centres)  # mod 1, exact for centres >= 0 and faster than np.mod
-    f = overlap_sums(centres, w, g_values, (length, 0.0, -length), (1.0, -2.0, 1.0))
-    target = length * length
+    f = overlap_sums(centres, jumps, g_values, (length, 0.0, -length), (1.0, -2.0, 1.0), degree=2)
+    # pairwise sums, not a BLAS dot, which can cost 50x more on 1e5 terms when it starts threads
+    f += target * (rise + np.sum(jumps * centres) - (0.5 + g_values) * np.sum(jumps))
     dev = np.abs(f - target)
     witness = int(np.argmax(dev))
     return PerfectProfile(
@@ -189,7 +167,7 @@ def perfect_profile(
         target=target,
         max_deviation=float(dev[witness]),
         witness_g=float(g_values[witness]),
-        v_nodes=len(t),
+        v_nodes=len(centres),
     )
 
 
@@ -398,8 +376,8 @@ def check_axioms(
             FLATNESS_TOL_TABLE if isinstance(profile, Table) else FLATNESS_TOL_CLOSED_FORM
         )
     prof = perfect_profile(spec, g_grid=g_grid, v_quadrature=v_quadrature)
-    # centres step by turns/(nodes - 1); a Simpson pair must fit in a tent side 1/parts, or
-    # the rule misses the tents (at steps 1, 1/2, 1/4 all centres land on 1, 2, 4 points)
+    # centres step by turns/(knots - 1); two must fit in a tent side 1/parts for a curved
+    # profile's interpolant to follow it (steps 1, 1/2, 1/4 land on 1, 2, 4 points)
     needed = 2 * spec.parts * profile.turns + 1
     if prof.v_nodes <= needed:
         raise ValueError(f"A4 quadrature too coarse for turns={profile.turns:g}: "

@@ -3,9 +3,12 @@
 These deliberately avoid the library's overlap kernel: membership is
 counted on dense midpoint grids, a single arc's overlap is written in
 closed form, or two arc lists are intersected pairwise, so any agreement
-with the library is evidence, not tautology.  The A4 profile's reference is
-the integral over heights v, each slice located by a plain bisection of the
-profile, which the library's integral over the curve parameter t replaces.
+with the library is evidence, not tautology.  The A4 profile has three
+references: the integral over heights v, each slice located by a plain
+bisection of the profile; composite Simpson over the curve parameter t, the
+library's rule before it took the exact integral of the profile's
+piecewise-linear interpolant; and that exact integral summed segment by
+segment at every axis, with no sort or prefix sum.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from yinyang.circle_sets import CircleSet, overlap_sums
-from yinyang.verify import MAX_V_QUADRATURE
+from yinyang.verify import MAX_V_QUADRATURE, profile_knots
 
 
 def grid_membership(arcs: list[tuple[float, float]], x: np.ndarray) -> np.ndarray:
@@ -141,3 +144,78 @@ def v_path_profile_values(spec, g_grid: int, v_quadrature: int) -> np.ndarray:
     centres = np.mod(2.0 * bisect_inverse(spec.alpha_profile(), nodes) + length, 1.0)
     g = np.arange(g_grid) / g_grid
     return overlap_sums(centres, w, g, (length, 0.0, -length), (1.0, -2.0, 1.0))
+
+
+def t_quadrature_rule(profile, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes t in [0, domain_end] and weights w * alpha'(t) for integrals over heights.
+
+    A sum over the rule approximates integral_0^1 F(v) dv = integral F(alpha(t)) alpha'(t) dt.
+    The nodes are the library's ``profile_knots``, which hold every seam.
+    Intervals are numbered through all pieces between seams; interval i pairs
+    with interval i + 1 for composite Simpson when i is even and both lie in
+    one piece, and is a trapezoid when its partner lies in another piece.
+    Neighbouring pieces share the node at their seam, and each side weights it
+    with its own one-sided alpha', so a jump of alpha' there costs no accuracy.
+    """
+    nodes = profile_knots(profile, n)
+    seams = profile.seams()
+    lengths = np.diff(seams)
+    cuts = np.searchsorted(nodes, seams)  # interpolation puts each seam on a node exactly
+    starts, ends = cuts[:-1], cuts[1:]  # first interval of each piece, and one past its last
+    count = ends - starts
+    # in units of h/6 an interval weighs its left node 2 or 4 as the first or second
+    # of a Simpson pair and 3 as a trapezoid; its right node takes the rest of 6
+    left = np.empty(ends[-1])
+    left[0::2], left[1::2] = 2.0, 4.0
+    left[starts[starts % 2 == 1]] = 3.0
+    left[ends[ends % 2 == 1] - 1] = 3.0
+    right = np.repeat(lengths / (6.0 * count), count)  # h/6 of every interval
+    left *= right
+    right *= 6.0
+    right -= left
+    slope = profile.derivative(nodes)  # the left limit at a seam
+    w = np.empty_like(nodes)
+    np.multiply(left, slope[:-1], out=w[:-1])
+    w[-1] = 0.0
+    seam = starts[1:]  # an interval starting at a seam takes alpha' one ulp to its right
+    w[seam] += left[seam] * (profile.derivative(np.nextafter(seams[1:-1], np.inf)) - slope[seam])
+    right *= slope[1:]
+    w[1:] += right
+    return nodes, w
+
+
+def t_rule_profile_values(spec, g_grid: int, v_quadrature: int) -> np.ndarray:
+    """f(g) by :func:`t_quadrature_rule`, each fiber's tent read from the degree-1 overlap kernel."""
+    length = 1.0 / spec.parts
+    nodes, w = t_quadrature_rule(spec.alpha_profile(), v_quadrature)
+    centres = np.mod(2.0 * nodes + length, 1.0)
+    g = np.arange(g_grid) / g_grid
+    return overlap_sums(centres, w, g, (length, 0.0, -length), (1.0, -2.0, 1.0))
+
+
+def _tent_integral(u, length: float):
+    """integral_0^u of the circular tent max(0, L - dist(s, 0)), for any real u."""
+    n = np.floor(u)
+    r = u - n
+    return (n * length * length + 0.5 * length * length - 0.5 * np.maximum(length - r, 0.0) ** 2
+            + 0.5 * np.maximum(r - 1.0 + length, 0.0) ** 2)
+
+
+def interpolant_profile_values(spec, knots: np.ndarray, g_grid: int) -> np.ndarray:
+    """f(g) for the piecewise-linear interpolant of alpha on ``knots``, one segment at a time.
+
+    Segment [t_s, t_s+1] of slope sigma_s adds sigma_s / 2 times the tent
+    integral between g - (2 t_s+1 + L) and g - (2 t_s + L); each axis is a full
+    pass over the segments (G x N), with no sort, prefix sum or slope jumps.
+    """
+    length = 1.0 / spec.parts
+    alpha = spec.alpha_profile().evaluate(knots)
+    half_slopes = np.diff(alpha) / np.diff(knots) / 2.0
+    lo, hi = 2.0 * knots[:-1] + length, 2.0 * knots[1:] + length
+    out = np.empty(g_grid)
+    for i, g in enumerate(np.arange(g_grid) / g_grid):
+        upper = g - lo  # the segment spans [g - hi, g - lo] in tent coordinates
+        top = upper - np.floor(upper)
+        ints = _tent_integral(top, length) - _tent_integral(top - (hi - lo), length)
+        out[i] = np.sum(half_slopes * ints)
+    return out

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from _oracles import bisect_inverse
 from yinyang.curves import (
+    _GUESS_KNOTS,
     MAX_TURNS,
     AlphaProfile,
     Ck,
@@ -255,6 +256,19 @@ def test_inverse_falls_back_to_bisection_where_the_bracket_fails():
     v = np.random.default_rng(20261019).random(100_000)
     assert np.max(np.abs(profile.inverse(v) - bisect_inverse(profile, v))) <= INVERSE_BOUND
     assert profile.bisected > 90_000
+
+
+@pytest.mark.parametrize("profile", [Sine(0.1), Ck(1.0, 2)], ids=["sine", "ck"])
+def test_inverse_builds_its_guess_table_once(profile, monkeypatch):
+    # a scalar inverse spent more than half its time rebuilding the 4097-point table
+    sizes = []
+    alpha = profile._alpha
+    monkeypatch.setattr(profile, "_alpha", lambda u: sizes.append(np.size(u)) or alpha(u))
+    first = profile.inverse(0.3)
+    assert _GUESS_KNOTS in sizes
+    sizes.clear()
+    assert profile.inverse(0.3) == first
+    assert sizes == [1, 1, 1, 1]  # two Newton steps and the two sides of the bracket
 
 
 @pytest.mark.parametrize("profile", [

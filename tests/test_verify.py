@@ -6,7 +6,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from _oracles import bisect_inverse, v_path_profile_values, v_quadrature_rule
+from _oracles import (
+    bisect_inverse,
+    interpolant_profile_values,
+    t_quadrature_rule,
+    t_rule_profile_values,
+    v_path_profile_values,
+    v_quadrature_rule,
+)
 from yinyang.circle_sets import CircleSet, arc_reflection_overlap_into
 from yinyang.curves import (
     Ck,
@@ -31,12 +38,12 @@ from yinyang.verify import (
     m_function,
     monte_carlo_overlap,
     perfect_profile,
+    profile_knots,
     radial_crossings,
     reduced_rotations,
     relation_residual,
     rotation_check,
     single_arc_invariant_measure,
-    t_quadrature_rule,
 )
 
 FAST = dict(g_grid=64, v_quadrature=5001)
@@ -47,7 +54,7 @@ def quad_table(n=2001):
     return tuple((float(x), float(4.0 * x * x)) for x in u)
 
 
-# -- quadrature rule -----------------------------------------------------------
+# -- knots, and the t-rule oracle on the same nodes ------------------------------
 
 PROFILES = [Fermat(1.0), Fermat(1.5), Sine(0.24), Ck(7.9, 0), Ck(1.0, 2), Table(quad_table(33))]
 
@@ -85,17 +92,17 @@ def test_quadrature_seams_take_one_sided_slopes():
 
 def test_quadrature_rejects_tiny_n():
     with pytest.raises(ValueError):
-        t_quadrature_rule(Fermat(1.0), 1)
+        profile_knots(Fermat(1.0), 1)
 
 
 def test_quadrature_node_budget():
     # the CLI default is exactly 100 001 nodes for every family and for every
     # table with fewer knots than nodes; more pieces than intervals get one each
     for spec in SWEEP_SPECS:
-        assert len(t_quadrature_rule(spec.alpha_profile(), V_QUADRATURE)[0]) == 100_001
+        assert len(profile_knots(spec.alpha_profile(), V_QUADRATURE)) == 100_001
     u = np.linspace(0.0, 0.5, 100_000)
     big = Table([(float(a), float(2.0 * a)) for a in u])
-    assert len(t_quadrature_rule(big, V_QUADRATURE)[0]) == 100_001
+    assert len(profile_knots(big, V_QUADRATURE)) == 100_001
     nodes, w = t_quadrature_rule(big, 101)
     assert len(nodes) == 100_000 and np.sum(w) == pytest.approx(1.0, abs=1e-12)
     assert perfect_profile(CurveSpec(family="custom", samples=big.samples), g_grid=8).v_nodes == 100_001
@@ -115,7 +122,7 @@ def _raises_without_allocating(match, fn, *args, **kwargs):
 
 def test_work_sizes_are_capped():
     spec = CurveSpec(family="fermat")
-    _raises_without_allocating("quadrature nodes", t_quadrature_rule, Fermat(1.0), MAX_V_QUADRATURE + 1)
+    _raises_without_allocating("quadrature nodes", profile_knots, Fermat(1.0), MAX_V_QUADRATURE + 1)
     _raises_without_allocating(
         "quadrature nodes", perfect_profile, spec, g_grid=8, v_quadrature=MAX_V_QUADRATURE + 1
     )
@@ -125,7 +132,7 @@ def test_work_sizes_are_capped():
     _raises_without_allocating(
         "samples", monte_carlo_overlap, spec, g=0.3, samples=MAX_MC_SAMPLES + 1, seed=1
     )
-    assert len(t_quadrature_rule(Fermat(1.0), MAX_V_QUADRATURE)[0]) == MAX_V_QUADRATURE
+    assert len(profile_knots(Fermat(1.0), MAX_V_QUADRATURE)) == MAX_V_QUADRATURE
     assert len(perfect_profile(spec, g_grid=MAX_G_GRID, v_quadrature=101).g) == MAX_G_GRID
 
 
@@ -166,7 +173,7 @@ def test_profile_mean_matches_measure_squared():
 
 
 def gxv_profile_values(spec, g_grid, v_quadrature):
-    """f(g) the slow way: one full pass over every fiber of the t-rule per axis (G x V)."""
+    """The t-rule oracle's f(g) the slow way: one full pass over every fiber per axis (G x V)."""
     length = 1.0 / spec.parts
     nodes, w = t_quadrature_rule(spec.alpha_profile(), v_quadrature)
     neg_base = -(2.0 * nodes + length)
@@ -200,28 +207,34 @@ def _spec_id(spec):
     return f"{spec.family}{k}-turns{spec.turns:g}-parts{spec.parts}"
 
 
+def _assert_sweeps_match_brute_force(spec, g_grid, v_quadrature):
+    # the degree-2 sweep against the segment-by-segment integral of the interpolant, and
+    # the degree-1 sweep of the t-rule oracle against its G x V kernel; 1e-12 is far
+    # inside the 1e-6 and 1e-4 A4 tolerances
+    prof = perfect_profile(spec, g_grid=g_grid, v_quadrature=v_quadrature)
+    ref = interpolant_profile_values(spec, profile_knots(spec.alpha_profile(), v_quadrature), g_grid)
+    assert np.max(np.abs(prof.values - ref)) <= 1e-12
+    t_rule = t_rule_profile_values(spec, g_grid, v_quadrature)
+    assert np.max(np.abs(t_rule - gxv_profile_values(spec, g_grid, v_quadrature))) <= 1e-12
+    return prof
+
+
 @pytest.mark.parametrize("spec", SWEEP_SPECS, ids=_spec_id)
 def test_sweep_matches_gxv_kernel(spec):
-    # 1e-12 is far inside the 1e-6 and 1e-4 A4 tolerances
     for g_grid, v_quadrature in ((128, 20_001), (500, 5001)):
-        prof = perfect_profile(spec, g_grid=g_grid, v_quadrature=v_quadrature)
-        ref = gxv_profile_values(spec, g_grid, v_quadrature)
-        assert np.max(np.abs(prof.values - ref)) <= 1e-12
+        _assert_sweeps_match_brute_force(spec, g_grid, v_quadrature)
 
 
 def test_sweep_rounding_does_not_grow_with_v_nodes():
     # a running sum over a million periodic Simpson weights drifts past 1e-12
     spec = CurveSpec(family="fermat", turns=1.0, parts=3)
-    prof = perfect_profile(spec, g_grid=37, v_quadrature=1_000_000)
-    assert prof.v_nodes == 1_000_001
-    assert np.max(np.abs(prof.values - gxv_profile_values(spec, 37, 1_000_000))) <= 1e-12
+    assert _assert_sweeps_match_brute_force(spec, 37, 1_000_000).v_nodes == 1_000_001
 
 
 def test_sweep_axes_between_nodes_and_on_window_edges():
     # with 2 parts and an even grid, every g +- 1/2 is another axis of the grid
     for spec in (CurveSpec(family="fermat", turns=1.0), CurveSpec(family="fermat", turns=1.5)):
-        prof = perfect_profile(spec, g_grid=6, v_quadrature=3)
-        assert np.max(np.abs(prof.values - gxv_profile_values(spec, 6, 3))) <= 1e-12
+        _assert_sweeps_match_brute_force(spec, 6, 3)
 
 
 # -- the t-path against the v-path oracle ----------------------------------------
@@ -239,9 +252,10 @@ def _perturbed_table(eps, knots):
 
 
 _UNEVEN = np.concatenate([[0.0], np.sort(np.random.default_rng(7).uniform(0.0, 0.5, 23)), [0.5]])
+QUADRATIC_33 = CurveSpec(family="custom", samples=json.loads(
+    (Path(__file__).parent / "fixtures" / "quadratic_33.json").read_text()))
 ORACLE_SPECS = SWEEP_SPECS + [
-    CurveSpec(family="custom", samples=json.loads(
-        (Path(__file__).parent / "fixtures" / "quadratic_33.json").read_text())),
+    QUADRATIC_33,
     *(CurveSpec(family="custom", samples=_perturbed_table(eps, knots))
       for eps in (1.3e-4, 1.55e-4, 1.9e-4) for knots in (np.linspace(0.0, 0.5, 33), _UNEVEN)),
 ]
@@ -255,6 +269,42 @@ def test_t_path_matches_v_path_oracle(spec):
     tol = FLATNESS_TOL_TABLE if spec.family == "custom" else FLATNESS_TOL_CLOSED_FORM
     ref_dev = np.max(np.abs(ref - prof.target))
     assert (prof.max_deviation <= tol) == (ref_dev <= tol)
+
+
+# At 512 axes and 1e5 knots the Simpson t-rule is at most 8.4e-11 off the exact integral
+# of the interpolant on these specs, most on the unbalanced ones; 10x inside V_PATH_BOUND.
+T_RULE_BOUND = 1e-9
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=lambda s: _spec_id(s) + f"-{len(s.samples or ())}")
+def test_exact_interpolant_matches_t_rule_oracle(spec):
+    prof = perfect_profile(spec)
+    assert np.max(np.abs(prof.values - t_rule_profile_values(spec, G_GRID, V_QUADRATURE))) <= T_RULE_BOUND
+
+
+@pytest.mark.parametrize("turns", [10_000.0, 24_000.0])
+def test_many_turn_fermat_passes_a4_at_the_defaults(turns):
+    # the Simpson t-rule's tent centres aliased onto a few points here: max_dev 3.3e-3 and 4.0e-4
+    report = check_axioms(CurveSpec(family="fermat", turns=turns))
+    assert report.profile.max_deviation <= 1e-14
+    assert report.axioms["A4"].passed
+
+
+def test_three_part_fermat_is_flat_to_rounding():
+    # the Simpson t-rule read 1.56e-8 here
+    spec = CurveSpec(family="fermat", turns=1.0, parts=3)
+    assert perfect_profile(spec, g_grid=64, v_quadrature=5001).max_deviation <= 1e-15
+
+
+@pytest.mark.parametrize("spec, deviation", [
+    (CurveSpec(family="fermat", turns=1.5), 1.0 / 24.0),
+    (QUADRATIC_33, 1.0 / 16.0),
+], ids=["fermat-1.5", "quadratic_33"])
+def test_exact_interpolant_keeps_the_counterexamples_failing(spec, deviation):
+    # the zero of a balanced spiral comes from the sum, not from knowing the family
+    report = check_axioms(spec)
+    assert report.profile.max_deviation == pytest.approx(deviation, abs=1e-12)
+    assert not report.axioms["A4"].passed
 
 
 def test_perturbed_tables_straddle_the_table_tolerance():
