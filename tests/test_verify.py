@@ -30,11 +30,13 @@ from yinyang.verify import (
     MAX_G_GRID,
     MAX_MC_SAMPLES,
     MAX_V_QUADRATURE,
+    MC_BLOCK,
     V_QUADRATURE,
     AxiomVerdict,
     _frac,
     applicable_relations,
     check_axioms,
+    knot_count,
     m_function,
     monte_carlo_overlap,
     perfect_profile,
@@ -108,16 +110,23 @@ def test_quadrature_node_budget():
     assert perfect_profile(CurveSpec(family="custom", samples=big.samples), g_grid=8).v_nodes == 100_001
 
 
-def _raises_without_allocating(match, fn, *args, **kwargs):
-    # the size check must come before the work it bounds
+def _traced_peak(fn, *args, **kwargs):
+    # peak bytes allocated while fn runs, numpy arrays included
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match=match):
-            fn(*args, **kwargs)
-        peak = tracemalloc.get_traced_memory()[1]
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 64 * 1024
+
+
+def _raises_without_allocating(match, fn, *args, **kwargs):
+    # the size check must come before the work it bounds
+    def refuse():
+        with pytest.raises(ValueError, match=match):
+            fn(*args, **kwargs)
+
+    assert _traced_peak(refuse) < 64 * 1024
 
 
 def test_work_sizes_are_capped():
@@ -134,6 +143,13 @@ def test_work_sizes_are_capped():
     )
     assert len(profile_knots(Fermat(1.0), MAX_V_QUADRATURE)) == MAX_V_QUADRATURE
     assert len(perfect_profile(spec, g_grid=MAX_G_GRID, v_quadrature=101).g) == MAX_G_GRID
+
+
+def test_knot_count_matches_the_knots():
+    big = Table([(float(a), float(2.0 * a)) for a in np.linspace(0.0, 0.5, 3000)])
+    for profile in (Fermat(1.0), Fermat(7.5), Sine(0.1), Ck(1.0, 3), Table(quad_table()), big):
+        for n in (2, 3, 100, 101, 2001, 5000):
+            assert knot_count(profile, n) == len(profile_knots(profile, n)), (profile, n)
 
 
 # -- perfect profile -----------------------------------------------------------
@@ -573,6 +589,15 @@ def test_check_axioms_refuses_a_t_rule_too_coarse_for_the_tents(turns, parts):
     assert f"turns={turns:g}" in str(exc.value)
 
 
+def test_check_axioms_refuses_a_coarse_t_rule_before_the_sweep():
+    # the knot count is known from the spec: 100 001 knots of 100 000 turns must not be built
+    def refuse():
+        with pytest.raises(ValueError, match="--v-quad"):
+            check_axioms(CurveSpec(family="fermat", turns=100_000.0))
+
+    assert _traced_peak(refuse) < 1024 * 1024
+
+
 def test_check_axioms_accepts_a_t_rule_just_fine_enough():
     # 2 * parts * turns = 99 996 < 100 000 intervals
     report = check_axioms(CurveSpec(family="fermat", turns=24_999.0))
@@ -609,6 +634,33 @@ def test_oracle_chunking_matches_single_pass():
     a = monte_carlo_overlap(spec, g=0.2, samples=300_000, seed=4, chunk=70_000)
     b = monte_carlo_overlap(spec, g=0.2, samples=300_000, seed=4, chunk=300_000)
     assert a.value == b.value
+
+
+ORACLE_BLOCK_SPECS = [
+    CurveSpec(family="fermat", turns=1.0),
+    CurveSpec(family="sine", lam=0.1),
+    CurveSpec(family="ck", lam=1.0, k=3),
+    CurveSpec(family="custom", samples=quad_table()),
+]
+
+
+@pytest.mark.parametrize("spec", ORACLE_BLOCK_SPECS, ids=lambda s: s.family)
+def test_oracle_blocks_match_one_pass_across_block_edges(spec):
+    for samples in (1, MC_BLOCK - 1, MC_BLOCK, MC_BLOCK + 1, 3 * MC_BLOCK + 7):
+        one_pass = monte_carlo_overlap(spec, g=0.3, samples=samples, seed=5, chunk=samples)
+        assert monte_carlo_overlap(spec, g=0.3, samples=samples, seed=5) == one_pass, samples
+
+
+@pytest.mark.parametrize("spec", ORACLE_BLOCK_SPECS, ids=lambda s: s.family)
+def test_oracle_memory_does_not_grow_with_samples(spec):
+    # one 1e6-sample pass would hold a 16 MB sample pair and 8 MB temporaries
+    assert _traced_peak(monte_carlo_overlap, spec, g=0.3, samples=1_000_000, seed=2) < 4 * 1024 * 1024
+
+
+def test_oracle_refuses_a_block_size_below_one():
+    spec = CurveSpec(family="fermat")
+    for chunk in (0, -1, 2.5):
+        _raises_without_allocating("chunk", monte_carlo_overlap, spec, g=0.3, samples=10, seed=0, chunk=chunk)
 
 
 def test_oracle_agrees_with_quadrature_on_counterexample():
