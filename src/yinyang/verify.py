@@ -62,7 +62,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import __version__
-from .circle_sets import overlap_sums
+from .circle_sets import MAX_Q, overlap_sums
 from .curves import AlphaProfile, CurveSpec, Table, branch_polylines, polyline_turning_angles
 from .geometry import finite, mod1
 
@@ -94,8 +94,6 @@ MAX_V_QUADRATURE = 2_000_001
 MAX_MC_SAMPLES = 10_000_000
 #: Disk samples the oracle draws and tests at a time (see the module docstring).
 MC_BLOCK = 16_384
-#: Largest rotation order of the rotation check; its report holds about 0.3 * q_max^2 integrals.
-MAX_Q = 1000
 
 
 def knot_count(profile: AlphaProfile, n: int) -> int:

@@ -3,19 +3,22 @@
 These deliberately avoid the library's overlap kernel: membership is
 counted on dense midpoint grids, a single arc's overlap is written in
 closed form, or two arc lists are intersected pairwise, so any agreement
-with the library is evidence, not tautology.  The A4 profile has three
-references: the integral over heights v, each slice located by a plain
-bisection of the profile; composite Simpson over the curve parameter t, the
-library's rule before it took the exact integral of the profile's
-piecewise-linear interpolant; and that exact integral summed segment by
-segment at every axis, with no sort or prefix sum.
+with the library is evidence, not tautology.  Intersections and
+rotation-invariant parts are formed piece by piece and merged by a sorted
+greedy loop, where the library counts the pieces over each point in one
+sweep.  The A4 profile has three references: the integral over heights v,
+each slice located by a plain bisection of the profile; composite Simpson
+over the curve parameter t, the library's rule before it took the exact
+integral of the profile's piecewise-linear interpolant; and that exact
+integral summed segment by segment at every axis, with no sort or prefix
+sum.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from yinyang.circle_sets import CircleSet, overlap_sums
+from yinyang.circle_sets import EPS, CircleSet, overlap_sums
 from yinyang.verify import MAX_V_QUADRATURE, profile_knots
 
 
@@ -53,6 +56,43 @@ def pairwise_reflection_overlap(s: CircleSet, g: float) -> float:
             if hi > lo:
                 total += hi - lo
     return total
+
+
+def greedy_merge(pieces) -> tuple[tuple[float, float], ...]:
+    """Canonical pieces of a union: sort by start, extend the last piece across gaps <= EPS."""
+    items = sorted((a, b) for a, b in pieces if b - a > EPS)
+    if not items:
+        return ()
+    merged = [list(items[0])]
+    for a, b in items[1:]:
+        if a - merged[-1][1] <= EPS:
+            merged[-1][1] = max(merged[-1][1], b)
+        else:
+            merged.append([a, b])
+    if merged[0][0] <= EPS:
+        merged[0][0] = 0.0
+    if 1.0 - merged[-1][1] <= EPS:
+        merged[-1][1] = 1.0
+    return tuple((a, b) for a, b in merged)
+
+
+def pairwise_intersection(s: CircleSet, t: CircleSet) -> CircleSet:
+    """S intersect T from the product of every piece of S with every piece of T, O(n m)."""
+    pairs = ((max(a1, a2), min(b1, b2)) for a1, b1 in s.pieces for a2, b2 in t.pieces)
+    return CircleSet(greedy_merge(pairs))
+
+
+def iterated_rotation_invariant_part(s: CircleSet, q: int) -> CircleSet:
+    """S intersected with its translates by k/q, k = 1 .. q - 1, one at a time.
+
+    The translates are the library's; only the intersections are the oracle's.
+    """
+    result = s
+    for k in range(1, q):
+        result = pairwise_intersection(result, s.translate(k / q))
+        if not result.pieces:
+            break
+    return result
 
 
 def grid_overlap_profile(

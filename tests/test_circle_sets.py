@@ -5,13 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from yinyang.circle_sets import EPS, Arc, CircleSet, arc_reflection_overlap_into
+from yinyang.circle_sets import EPS, MAX_Q, Arc, CircleSet, arc_reflection_overlap_into
 
 from _oracles import (
     arc_reflection_overlap,
     grid_max_overlap,
     grid_overlap_profile,
     grid_reflection_overlap,
+    iterated_rotation_invariant_part,
+    pairwise_intersection,
     pairwise_reflection_overlap,
 )
 
@@ -31,6 +33,20 @@ def circle_sets(draw, max_arcs=8, min_len=0.005, max_len=0.35):
         for _ in range(n)
     ]
     return CircleSet.from_arcs(arcs)
+
+
+@st.composite
+def symmetric_circle_sets(draw):
+    """A set that rotation by 1/q maps onto itself, q in 2..6: q copies of up to three arcs."""
+    q = draw(st.integers(min_value=2, max_value=6))
+    arcs = [
+        (
+            draw(st.floats(min_value=0.0, max_value=1.0, exclude_max=True)),
+            draw(st.floats(min_value=0.005, max_value=1.0 / q)),
+        )
+        for _ in range(draw(st.integers(min_value=1, max_value=3)))
+    ]
+    return CircleSet.from_arcs([(a + k / q, length) for a, length in arcs for k in range(q)])
 
 
 def _sym_diff_measure(s: CircleSet, t: CircleSet) -> float:
@@ -98,6 +114,16 @@ def test_measure_examples():
     assert CircleSet.full().measure() == 1.0
     s = CircleSet.from_arcs([(0.0, 0.1), (0.5, 0.2)])
     assert s.measure() == pytest.approx(0.3, abs=TOL)
+
+
+@pytest.mark.parametrize(
+    "method, value",
+    [("translate", math.nan), ("translate", math.inf), ("reflect", math.nan),
+     ("reflection_overlap", math.nan), ("contains", math.nan)],
+)
+def test_non_finite_shift_axis_or_point_raises(method, value):
+    with pytest.raises(ValueError, match="must be a finite number"):
+        getattr(CircleSet.from_arcs([(0.1, 0.2)]), method)(value)
 
 
 def test_intersect_complement_reflect_examples():
@@ -353,6 +379,40 @@ def test_rotation_invariant_part_validation():
         s.rotation_invariant_part(2, 4)
     with pytest.raises(ValueError):
         s.rotation_invariant_part(3, 2)
+
+
+def test_rotation_invariant_part_refuses_bools_and_orders_past_max_q(monkeypatch):
+    s = CircleSet.from_arcs([(0.0, 0.5)])
+    for p, q in ((True, 3), (1, True)):
+        with pytest.raises(ValueError, match="must be integers"):
+            s.rotation_invariant_part(p, q)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("a refused rotation order must not build translates")
+
+    monkeypatch.setattr(CircleSet, "translate", no_work)
+    with pytest.raises(ValueError, match=f"\\[2, {MAX_Q}\\]"):
+        s.rotation_invariant_part(1, MAX_Q + 1)
+
+
+def test_rotation_invariant_part_accepts_max_q():
+    assert CircleSet.full().rotation_invariant_part(1, MAX_Q) == CircleSet.full()
+    assert CircleSet.from_arcs([(0.0, 0.5)]).rotation_invariant_part(1, MAX_Q) == CircleSet.empty()
+
+
+@given(st.one_of(circle_sets(), symmetric_circle_sets()), circle_sets())
+@settings(deadline=None)
+def test_sweep_pieces_equal_pairwise_and_iterated_oracles(s, t):
+    # bit for bit: the counting sweep must keep every endpoint the product and loop kept
+    c = s.complement()
+    for a, b in ((s, t), (t, s), (c, s), (s, c), (c, t)):
+        assert a.intersect(b).pieces == pairwise_intersection(a, b).pieces
+    for q in range(2, 7):
+        for part in (s, c):
+            expected = iterated_rotation_invariant_part(part, q).pieces
+            for p in range(1, q):
+                if math.gcd(p, q) == 1:
+                    assert part.rotation_invariant_part(p, q).pieces == expected, (p, q)
 
 
 # -- single-arc closed forms -------------------------------------------------------
