@@ -41,12 +41,13 @@ near 1.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
-from .geometry import finite, mod1
+from .geometry import finite, integer, mod1
 
 #: Absolute tolerance for endpoint comparisons when merging arcs.
 EPS = 1e-14
@@ -180,10 +181,17 @@ class CircleSet:
     ``pieces`` holds exactly what ``_merge`` returns: sorted, disjoint
     (start, end) pairs with 0 <= start < end <= 1.  A set wrapping 1 -> 0 is
     kept split, e.g. an arc of length 0.2 starting at 0.9 is the two pieces
-    (0.0, 0.1) and (0.9, 1.0).  Equal sets therefore have identical pieces.
+    (0.0, 0.1) and (0.9, 1.0).  Equal sets therefore have identical pieces.  The
+    constructor refuses pieces whose ends do not rise strictly from >= 0 to <= 1.
     """
 
     pieces: tuple[tuple[float, float], ...]
+
+    def __post_init__(self):
+        flat = [x for piece in self.pieces for x in piece]
+        if flat and not (flat[0] >= 0.0 and flat[-1] <= 1.0 and all(map(operator.lt, flat, flat[1:]))):
+            raise ValueError(f"circle set pieces must be sorted, disjoint (start, end) pairs "
+                             f"with 0 <= start < end <= 1, got {self.pieces}")
 
     @classmethod
     def empty(cls) -> "CircleSet":
@@ -310,12 +318,8 @@ class CircleSet:
         translates cover.  Only rational rotations in lowest terms with
         q <= MAX_Q are supported.
         """
-        if any(isinstance(v, bool) or not isinstance(v, int) for v in (p, q)):
-            raise ValueError(f"p and q must be integers, got p={p!r}, q={q!r}")
-        if not 2 <= q <= MAX_Q:
-            raise ValueError(f"rotation order q must lie in [2, {MAX_Q}], got {q}")
-        if not 0 < p < q:
-            raise ValueError(f"need 0 < p < q, got p={p}, q={q}")
+        q = integer("rotation order q", q, 2, MAX_Q)
+        p = integer("p", p, 1, q - 1)
         if math.gcd(p, q) != 1:
             raise ValueError(f"p/q must be in lowest terms, got {p}/{q}")
         # translate(0) would rebuild each end as a + (b - a), which can move it by an ulp

@@ -34,7 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from .circle_sets import CircleSet
-from .geometry import DiskPoint, check_parts, disk_to_cylinder, finite, mod1
+from .geometry import MAX_PARTS, DiskPoint, disk_to_cylinder, finite, integer, mod1
 
 #: Turn counts lie in [1/MAX_TURNS, MAX_TURNS]; at MAX_TURNS the A4 tent centres
 #: (2t + L) mod 1 still resolve to about 1e-10.
@@ -184,9 +184,7 @@ class Ck(AlphaProfile):
         lam = finite("lambda", lam)
         if not lam > 0:
             raise ValueError(f"ck variant requires lambda > 0, got {lam}")
-        if isinstance(k, bool) or not (isinstance(k, int) and k >= 0):
-            raise ValueError(f"smoothness order k must be a non-negative integer, got {k}")
-        self.lam, self.k = lam, k
+        self.lam, self.k = lam, integer("smoothness order k", k, 0, math.inf)
         # on [0, 1/4] the derivative is least at u*, where k (1/4 - 2u)^2 = 2u (1/4 - u)
         worst = 0.125 + 0.125 / math.sqrt(2 * k + 1)
         deriv = float(self.derivative(worst))
@@ -285,7 +283,7 @@ class CurveSpec:
     def __post_init__(self):
         if not (isinstance(self.family, str) and self.family in FAMILIES):
             raise ValueError(f"unknown family {self.family!r}, expected one of {tuple(FAMILIES)}")
-        check_parts(self.parts)
+        object.__setattr__(self, "parts", integer("parts", self.parts, 2, MAX_PARTS))
         object.__setattr__(self, "turns", finite("turns", self.turns))
         kind, takes = FAMILIES[self.family]
         for field, name in (("lam", "lambda"), ("k", "k"), ("samples", "samples")):
@@ -349,8 +347,7 @@ def branch_polylines(spec: CurveSpec, n: int) -> np.ndarray:
     taken at u = (i+1)/n * turns/2, so the last point sits on the disk rim.
     The angle is not reduced modulo 2 pi.
     """
-    if n < 2:
-        raise ValueError(f"need at least 2 points per branch, got {n}")
+    n = integer("points per branch", n, 2, math.inf)
     profile = spec.alpha_profile()
     u = (np.arange(1, n + 1) / n) * profile.domain_end
     out = np.empty((spec.parts, n, 2))

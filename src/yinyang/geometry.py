@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Real
+from numbers import Integral, Real
 
 TWO_PI = 2.0 * math.pi
 DISK_RADIUS = 1.0 / math.sqrt(math.pi)  # radius of the unit-area disk
@@ -36,10 +36,11 @@ def finite(name: str, value) -> float:
     return float(value)
 
 
-def check_parts(value) -> None:
-    """Raise ValueError unless ``value`` is a part count: an int, not a bool, in [2, MAX_PARTS]."""
-    if isinstance(value, bool) or not isinstance(value, int) or not 2 <= value <= MAX_PARTS:
-        raise ValueError(f"parts must be an integer in [2, {MAX_PARTS}], got {value}")
+def integer(name: str, value, lo: int, hi: float) -> int:
+    """``value`` as an int in [lo, hi]; a bool, a non-integer or a value outside raises ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, Integral)) or not lo <= value <= hi:
+        raise ValueError(f"{name} must be an integer in [{lo}, {hi}], got {value}")
+    return int(value)
 
 
 def mod1(x: float) -> float:

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .geometry import check_parts, finite
+from .geometry import MAX_PARTS, finite, integer
 
 _FMT_ZERO = 5e-7  # snap tiny magnitudes so -0.000000 never appears
 
@@ -68,7 +68,7 @@ class RenderConfig:
             if name != "rotate_deg" and not value > 0:
                 raise ValueError(f"{name} must be positive, got {value}")
             object.__setattr__(self, name, value)
-        check_parts(self.parts)
+        object.__setattr__(self, "parts", integer("parts", self.parts, 2, MAX_PARTS))
         if not isinstance(self.clockwise, bool):
             raise ValueError(f"clockwise must be true or false, got {self.clockwise}")
         steps = spiral_steps(self.effective_interpol)
@@ -211,11 +211,6 @@ class _SymbolTransform:
         return "0" if self.mirror else "1"
 
 
-def _gray(luminance: float) -> str:
-    c = round(255 * luminance)
-    return f"rgb({c},{c},{c})"
-
-
 def _rgb(color: tuple[float, float, float]) -> str:
     r, g, b = (round(255 * c) for c in color)
     return f"rgb({r},{g},{b})"
@@ -264,7 +259,7 @@ def render(config: RenderConfig) -> SvgDocument:
     else:
         for i in range(config.parts):
             elements.append(
-                f'<path d="{region_path(i)}" fill="{_gray(i / config.parts)}" stroke="none"/>'
+                f'<path d="{region_path(i)}" fill="{_rgb((i / config.parts,) * 3)}" stroke="none"/>'
             )
 
     spiral_width = config.stroke_width_px * 0.5

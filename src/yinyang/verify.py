@@ -21,12 +21,12 @@ alpha on knots in t that hold every seam (alpha itself for fermat and tables):
 each segment adds a difference of the tent's antiderivative, quadratic ramps
 that ``circle_sets.overlap_sums`` reads at every axis from one sort of the
 centres.  ``monte_carlo_overlap`` estimates the same quantity by throwing
-uniform points at the disk, an independent check on that path.  It draws and
-tests them in blocks of ``MC_BLOCK`` = 16 384: each block's arrays are 128 KB,
-small enough to stay in cache and be reused from the heap rather than faulted
-in afresh, so memory does not grow with the sample count (8 192 measured the
-same; 2 048 and 65 536 or more were slower).  The estimate is bit for bit the
-same at any block size.
+uniform points at the cylinder, an independent check on that path.  It draws
+and tests them in blocks of ``MC_BLOCK`` = 16 384: each block's arrays are
+128 KB, small enough to stay in cache and be reused from the heap rather than
+faulted in afresh, so memory does not grow with the sample count (8 192
+measured the same; 2 048 and 65 536 or more were slower).  The estimate is
+bit for bit the same at any block size.
 
 ``rotation_check`` integrates the largest rotation-invariant subset of
 each slice.  A slice is one arc of length L <= 1/2, so for a rotation p/q
@@ -39,6 +39,7 @@ Axioms checked by ``check_axioms``:
 * A2   -- each concentric circle is crossed twice (monotone alpha: each
           branch crosses each height exactly once).
 * A3   -- each radius is crossed exactly once; A3'' asks for exactly twice.
+          Exact from the closed form parts * turns / 2 (``radial_crossing_range``).
 * A4   -- flat reflection-overlap profile at 1/parts^2.
 * A5   -- sampling-regularity surrogate for smoothness: bounded turning
           angles of the sampled boundary polyline.  Not a certificate.
@@ -64,7 +65,7 @@ import numpy as np
 from . import __version__
 from .circle_sets import MAX_Q, overlap_sums
 from .curves import AlphaProfile, CurveSpec, Table, branch_polylines, polyline_turning_angles
-from .geometry import finite, mod1
+from .geometry import finite, integer, mod1
 
 AXIOM_IDS = ("A1", "A2", "A3", "A3''", "A4", "A5")
 
@@ -82,7 +83,10 @@ RELATION_IDS = tuple(RELATION_TURNS)
 FLATNESS_TOL_CLOSED_FORM = 1e-6
 FLATNESS_TOL_TABLE = 1e-4
 TURNING_ANGLE_TOL = 0.2  # radians, A5 sampling surrogate
+POLYLINE_POINTS = 512  # samples per branch for A5
 RESIDUAL_GRID = 10_000
+#: Largest rotation-invariant integral that passes the rotation check.
+ROTATION_TOL = 1e-12
 
 #: Default reflection axes and interpolation knots of the A4 profile.
 G_GRID = 512
@@ -98,8 +102,7 @@ MC_BLOCK = 16_384
 
 def knot_count(profile: AlphaProfile, n: int) -> int:
     """How many knots ``profile_knots(profile, n)`` makes, without making them."""
-    if not 2 <= n <= MAX_V_QUADRATURE:
-        raise ValueError(f"need 2 to {MAX_V_QUADRATURE} quadrature nodes, got {n}")
+    n = integer("quadrature nodes", n, 2, MAX_V_QUADRATURE)
     return max(n | 1, len(profile.seams()))
 
 
@@ -153,8 +156,7 @@ def perfect_profile(
     P(g - c) + L^2 (1/2 + g - c): the kernel reads the sum at all axes in
     O((N + G) log N) for N knots and G axes, less that line.
     """
-    if not 2 <= g_grid <= MAX_G_GRID:
-        raise ValueError(f"need 2 to {MAX_G_GRID} reflection axes, got {g_grid}")
+    g_grid = integer("reflection axes g_grid", g_grid, 2, MAX_G_GRID)
     profile = spec.alpha_profile()
     t = profile_knots(profile, v_quadrature)
     alpha = profile.evaluate(t)
@@ -214,9 +216,9 @@ def m_function(profile: AlphaProfile, u):
     return float(out[0]) if scalar else out
 
 
-def _grid(lo: float, hi: float, n: int = RESIDUAL_GRID) -> np.ndarray:
-    # n points in (lo, hi], endpoint included
-    return lo + (hi - lo) * (np.arange(1, n + 1) / n)
+def _grid(lo: float, hi: float) -> np.ndarray:
+    # RESIDUAL_GRID points in (lo, hi], endpoint included
+    return lo + (hi - lo) * (np.arange(1, RESIDUAL_GRID + 1) / RESIDUAL_GRID)
 
 
 def relation_residual(profile: AlphaProfile, relation: str) -> float:
@@ -304,19 +306,19 @@ class VerifyReport:
         }
 
 
-def radial_crossings(turns: float, parts: int, u0) -> np.ndarray:
-    """How many times the symbol's branches cross the radius at angle 2*pi*u0.
+def radial_crossing_range(parts: int, turns: float) -> tuple[int, int]:
+    """Fewest and most times the symbol's branches cross one radius.
 
-    Branch j spans circle positions (j/parts, j/parts + turns/2]; a radius
-    at position u0 is crossed once per integer n with u0 + n in that range.
+    Branch j spans circle positions (j/parts, j/parts + turns/2], so the radius
+    at position u0 is crossed #{k in Z : 0 < u0 + k/parts <= turns/2} times:
+    c = parts * turns / 2 times on every radius when c is an integer, and else
+    floor(c) times on some radii and ceil(c) on the rest.  A c within 1e-12 of
+    an integer, the turn tolerance of the relations, counts as that integer.
     """
-    u0 = np.asarray(u0, dtype=float)
-    total = np.zeros_like(u0)
-    for j in range(parts):
-        lo = j / parts
-        hi = lo + turns / 2.0
-        total += np.floor(hi - u0) - np.floor(lo - u0)
-    return total.astype(int)
+    c = parts * turns / 2.0
+    if abs(c - round(c)) <= 1e-12:
+        c = round(c)
+    return math.floor(c), math.ceil(c)
 
 
 def check_axioms(
@@ -324,7 +326,6 @@ def check_axioms(
     g_grid: int = G_GRID,
     v_quadrature: int = V_QUADRATURE,
     flatness_tolerance: float | None = None,
-    polyline_points: int = 512,
     seed: int = 0,
 ) -> VerifyReport:
     """Run every axiom check on one curve spec and collect a report.
@@ -375,10 +376,7 @@ def check_axioms(
         )
 
     # A3 / A3'': radial crossing counts.
-    m = 2048
-    u0 = (np.arange(m) + 0.382) / m  # offset avoids branch-boundary lattice points
-    counts = radial_crossings(profile.turns, spec.parts, u0)
-    cmin, cmax = int(counts.min()), int(counts.max())
+    cmin, cmax = radial_crossing_range(spec.parts, profile.turns)
     count_detail = (
         f"every radius crossed {cmin} times" if cmin == cmax
         else f"radial crossings vary between {cmin} and {cmax}"
@@ -409,14 +407,14 @@ def check_axioms(
     # A5: sampling-regularity surrogate for smoothness, per branch (the
     # jump from one branch's rim to the next branch's center is not a turn).
     max_angle = 0.0
-    for branch in branch_polylines(spec, polyline_points):
+    for branch in branch_polylines(spec, POLYLINE_POINTS):
         angles = polyline_turning_angles(branch)
         if len(angles):
             max_angle = max(max_angle, float(np.max(angles)))
     axioms["A5"] = AxiomVerdict(
         passed=max_angle <= TURNING_ANGLE_TOL,
         detail=(
-            f"max turning angle {max_angle:.4f} rad over {polyline_points} samples "
+            f"max turning angle {max_angle:.4f} rad over {POLYLINE_POINTS} samples "
             "per branch (sampling check, not a smoothness certificate)"
         ),
         witness=max_angle,
@@ -448,13 +446,12 @@ class RotationCheck:
     """Integrated measures of rotation-invariant parts, per reduced rotation p/q."""
 
     integrals: dict[str, float]
-    tolerance: float
     passed: bool
 
     def to_json(self) -> dict:
         return {
             "integrals": dict(self.integrals),
-            "tolerance": self.tolerance,
+            "tolerance": ROTATION_TOL,
             "pass": self.passed,
             "detail": "closed form, single-arc slices: q * max(0, 1/parts - (q-1)/q)",
         }
@@ -474,7 +471,7 @@ def single_arc_invariant_measure(length: float, q: int) -> float:
     return q * max(0.0, length - (q - 1) / q)
 
 
-def rotation_check(spec: CurveSpec, q_max: int, *, tolerance: float = 1e-12) -> RotationCheck:
+def rotation_check(spec: CurveSpec, q_max: int) -> RotationCheck:
     """Integrate the rotation-invariant part of each slice over all heights.
 
     For every reduced rotation p/q with 2 <= q <= q_max the integral
@@ -485,16 +482,15 @@ def rotation_check(spec: CurveSpec, q_max: int, *, tolerance: float = 1e-12) -> 
     the integrand is :func:`single_arc_invariant_measure` of L at every
     height and the integral equals it exactly, with no quadrature in v; it
     is 0 for every spiral symbol, whose parts contain no rotation-symmetric
-    subset.
+    subset.  The check passes when every integral is at most ROTATION_TOL.
     """
-    if not 2 <= q_max <= MAX_Q:
-        raise ValueError(f"q_max must lie in [2, {MAX_Q}], got {q_max}")
+    q_max = integer("q_max", q_max, 2, MAX_Q)
     length = 1.0 / spec.parts
     integrals = {
         f"{p}/{q}": single_arc_invariant_measure(length, q) for p, q in reduced_rotations(q_max)
     }
-    passed = all(v <= tolerance for v in integrals.values())
-    return RotationCheck(integrals=integrals, tolerance=tolerance, passed=passed)
+    passed = all(v <= ROTATION_TOL for v in integrals.values())
+    return RotationCheck(integrals=integrals, passed=passed)
 
 
 # -- Monte-Carlo oracle -------------------------------------------------------
@@ -519,26 +515,22 @@ def _frac(x: np.ndarray) -> np.ndarray:
     return x - np.floor(x)
 
 
-def monte_carlo_overlap(
-    spec: CurveSpec, g: float, samples: int, seed: int, chunk: int = MC_BLOCK
-) -> OracleEstimate:
+def monte_carlo_overlap(spec: CurveSpec, g: float, samples: int, seed: int) -> OracleEstimate:
     """Estimate the overlap measure at axis g by uniform sampling of the disk.
 
-    Draws points r = sqrt(U)/sqrt(pi), phi = 2 pi U' (uniform in area),
-    and counts those lying in the first part together with their
-    reflection.  Reproducible for a fixed seed; the standard error is
-    the sample standard deviation over sqrt(samples).
+    The disk-to-cylinder map is measure-preserving, so a uniform point of the
+    disk is a uniform point (u, v) = (U', U) of the cylinder, and the points
+    are drawn there directly.  It counts those lying in the first part
+    together with their reflection.  Reproducible for a fixed seed; the
+    standard error is the sample standard deviation over sqrt(samples).
 
-    The points are drawn and tested ``chunk`` at a time (``MC_BLOCK`` by
-    default; see the module docstring for why that size), so memory stays at
-    a few block-sized arrays whatever ``samples`` is.  The estimate does not
-    depend on ``chunk``: the (U, U') pairs come row by row from one stream,
-    and every later step works element by element.
+    The points are drawn and tested ``MC_BLOCK`` at a time (see the module
+    docstring for why that size), so memory stays at a few block-sized arrays
+    whatever ``samples`` is.  The estimate does not depend on the block size:
+    the (U, U') pairs come row by row from one stream, and every later step
+    works element by element.
     """
-    if not 1 <= samples <= MAX_MC_SAMPLES:
-        raise ValueError(f"need 1 to {MAX_MC_SAMPLES} samples, got {samples}")
-    if isinstance(chunk, bool) or not isinstance(chunk, int) or chunk < 1:
-        raise ValueError(f"chunk must be an integer >= 1, got {chunk}")
+    samples = integer("samples", samples, 1, MAX_MC_SAMPLES)
     g = mod1(finite("reflection axis g", g))
     profile = spec.alpha_profile()
     length = 1.0 / spec.parts
@@ -546,13 +538,9 @@ def monte_carlo_overlap(
     hits = 0
     remaining = samples
     while remaining > 0:
-        n = min(chunk, remaining)
+        n = min(MC_BLOCK, remaining)
         pair = rng.random((n, 2))  # row-major: the stream does not depend on the block size
-        u_rand, u_prime = pair[:, 0], pair[:, 1]
-        r = np.sqrt(u_rand) / math.sqrt(math.pi)
-        phi = 2.0 * math.pi * u_prime
-        u = phi / (2.0 * math.pi)
-        v = math.pi * r * r
+        v, u = pair[:, 0], pair[:, 1]
         t = profile.inverse(v)
         in_first = _frac(u - t) < length
         in_reflected = _frac(_frac(g - u) - t) < length

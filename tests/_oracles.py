@@ -11,7 +11,8 @@ each slice located by a plain bisection of the profile; composite Simpson
 over the curve parameter t, the library's rule before it took the exact
 integral of the profile's piecewise-linear interpolant; and that exact
 integral summed segment by segment at every axis, with no sort or prefix
-sum.
+sum.  Radial crossing counts are sampled radius by radius, where the library
+reads their range from the closed form parts * turns / 2.
 """
 
 from __future__ import annotations
@@ -259,3 +260,18 @@ def interpolant_profile_values(spec, knots: np.ndarray, g_grid: int) -> np.ndarr
         ints = _tent_integral(top, length) - _tent_integral(top - (hi - lo), length)
         out[i] = np.sum(half_slopes * ints)
     return out
+
+
+def radial_crossings(turns: float, parts: int, u0) -> np.ndarray:
+    """How many times the symbol's branches cross the radius at angle 2*pi*u0.
+
+    Branch j spans circle positions (j/parts, j/parts + turns/2]; a radius
+    at position u0 is crossed once per integer n with u0 + n in that range.
+    """
+    u0 = np.asarray(u0, dtype=float)
+    total = np.zeros_like(u0)
+    for j in range(parts):
+        lo = j / parts
+        hi = lo + turns / 2.0
+        total += np.floor(hi - u0) - np.floor(lo - u0)
+    return total.astype(int)

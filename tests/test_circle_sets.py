@@ -384,7 +384,7 @@ def test_rotation_invariant_part_validation():
 def test_rotation_invariant_part_refuses_bools_and_orders_past_max_q(monkeypatch):
     s = CircleSet.from_arcs([(0.0, 0.5)])
     for p, q in ((True, 3), (1, True)):
-        with pytest.raises(ValueError, match="must be integers"):
+        with pytest.raises(ValueError, match="must be an integer in"):
             s.rotation_invariant_part(p, q)
 
     def no_work(*args, **kwargs):
@@ -393,6 +393,15 @@ def test_rotation_invariant_part_refuses_bools_and_orders_past_max_q(monkeypatch
     monkeypatch.setattr(CircleSet, "translate", no_work)
     with pytest.raises(ValueError, match=f"\\[2, {MAX_Q}\\]"):
         s.rotation_invariant_part(1, MAX_Q + 1)
+
+
+def test_constructor_refuses_non_canonical_pieces():
+    # these read measures -0.3 and 0.6 (for a set of measure 0.5) when the constructor took them
+    for pieces in (((0.5, 0.2),), ((0.1, 0.4), (0.3, 0.6)), ((0.1, 0.3), (0.3, 0.6)),
+                   ((0.6, 0.8), (0.1, 0.2)), ((-0.1, 0.2),), ((0.5, 1.5),), ((0.2, 0.2),)):
+        with pytest.raises(ValueError, match="circle set pieces must be sorted"):
+            CircleSet(pieces)
+    assert CircleSet(((0.0, 0.1), (0.3, 1.0))).measure() == pytest.approx(0.8, abs=1e-15)
 
 
 def test_rotation_invariant_part_accepts_max_q():

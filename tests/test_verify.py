@@ -9,12 +9,14 @@ import pytest
 from _oracles import (
     bisect_inverse,
     interpolant_profile_values,
+    radial_crossings,
     t_quadrature_rule,
     t_rule_profile_values,
     v_path_profile_values,
     v_quadrature_rule,
 )
-from yinyang.circle_sets import CircleSet, arc_reflection_overlap_into
+from yinyang import verify
+from yinyang.circle_sets import MAX_Q, CircleSet, arc_reflection_overlap_into
 from yinyang.curves import (
     Ck,
     CurveSpec,
@@ -22,7 +24,9 @@ from yinyang.curves import (
     Sine,
     Table,
     beta_polyline,
+    branch_polylines,
 )
+from yinyang.render import RenderConfig
 from yinyang.verify import (
     FLATNESS_TOL_CLOSED_FORM,
     FLATNESS_TOL_TABLE,
@@ -31,6 +35,7 @@ from yinyang.verify import (
     MAX_MC_SAMPLES,
     MAX_V_QUADRATURE,
     MC_BLOCK,
+    POLYLINE_POINTS,
     V_QUADRATURE,
     AxiomVerdict,
     _frac,
@@ -41,7 +46,7 @@ from yinyang.verify import (
     monte_carlo_overlap,
     perfect_profile,
     profile_knots,
-    radial_crossings,
+    radial_crossing_range,
     reduced_rotations,
     relation_residual,
     rotation_check,
@@ -143,6 +148,28 @@ def test_work_sizes_are_capped():
     )
     assert len(profile_knots(Fermat(1.0), MAX_V_QUADRATURE)) == MAX_V_QUADRATURE
     assert len(perfect_profile(spec, g_grid=MAX_G_GRID, v_quadrature=101).g) == MAX_G_GRID
+
+
+SPEC = CurveSpec(family="fermat")
+SIZE_ARGUMENTS = [  # (name in the message, call with the size argument set to x)
+    ("parts", lambda x: CurveSpec(family="fermat", parts=x)),
+    ("parts", lambda x: RenderConfig(parts=x)),
+    ("smoothness order k", lambda x: Ck(1.0, x)),
+    ("rotation order q", lambda x: CircleSet.full().rotation_invariant_part(1, x)),
+    ("p", lambda x: CircleSet.full().rotation_invariant_part(x, 5)),
+    ("reflection axes g_grid", lambda x: perfect_profile(SPEC, g_grid=x)),
+    ("quadrature nodes", lambda x: perfect_profile(SPEC, g_grid=8, v_quadrature=x)),
+    ("quadrature nodes", lambda x: knot_count(Fermat(1.0), x)),
+    ("samples", lambda x: monte_carlo_overlap(SPEC, g=0.3, samples=x, seed=1)),
+    ("q_max", lambda x: rotation_check(SPEC, x)),
+    ("points per branch", lambda x: branch_polylines(SPEC, x)),
+]
+
+
+@pytest.mark.parametrize("name, call", SIZE_ARGUMENTS, ids=[n for n, _ in SIZE_ARGUMENTS])
+def test_size_arguments_refuse_floats_and_bools(name, call):
+    for bad in (4.5, 6.0, True, "6"):
+        _raises_without_allocating(f"^{name} must be an integer in \\[\\d+, (\\d+|inf)\\], got {bad}$", call, bad)
 
 
 def test_knot_count_matches_the_knots():
@@ -425,6 +452,30 @@ def test_radial_crossings_basic():
     assert set(radial_crossings(1.0, 3, u0)) == {1, 2}
 
 
+RADIAL_TURNS = sorted({k / d for d in (2, 3, 4) for k in range(1, 13)} | {0.3, 0.7, 1.3, 2.45, 3.9})
+
+
+@pytest.mark.parametrize("parts", [2, 3, 4, 5, 6])
+def test_radial_crossing_range_matches_sampled_counts(parts):
+    # frac(parts * turns / 2) is 0 or in [0.05, 0.95] here: a share of radii far above the grid step
+    u0 = (np.arange(100_000) + 0.382) / 100_000
+    for turns in RADIAL_TURNS:
+        counts = radial_crossings(turns, parts, u0)
+        expected = (int(counts.min()), int(counts.max()))
+        assert radial_crossing_range(parts, turns) == expected, (parts, turns)
+    assert radial_crossing_range(parts, 2.0 / parts + 1e-13) == (1, 1)  # within the turn tolerance
+
+
+@pytest.mark.parametrize("turns, axiom", [
+    (1.0001, "A3"), (1.000001, "A3"), (0.999999, "A3"), (2.0000001, "A3''"),
+])
+def test_turns_just_off_an_integer_crossing_count_fail_a3(turns, axiom):
+    # a 2048-radius sample reported "every radius crossed 1 (2) times" for these
+    report = check_axioms(CurveSpec(family="fermat", turns=turns), g_grid=8, v_quadrature=101)
+    assert not report.axioms[axiom].passed
+    assert report.axioms[axiom].detail.startswith("radial crossings vary between")
+
+
 # -- check_axioms ------------------------------------------------------------------------
 
 
@@ -607,6 +658,8 @@ def test_check_axioms_accepts_a_t_rule_just_fine_enough():
 def test_rotation_check_validation():
     with pytest.raises(ValueError):
         rotation_check(CurveSpec(family="fermat", turns=1.0), q_max=1)
+    with pytest.raises(ValueError, match=f"q_max must be an integer in \\[2, {MAX_Q}\\]"):
+        rotation_check(CurveSpec(family="fermat", turns=1.0), q_max=MAX_Q + 1)
 
 
 # -- Monte-Carlo oracle ------------------------------------------------------------------------
@@ -629,10 +682,16 @@ def test_oracle_is_deterministic():
     assert c.value != a.value  # different seed, different draw
 
 
-def test_oracle_chunking_matches_single_pass():
+def _oracle_in_blocks(monkeypatch, block, spec, **kwargs):
+    with monkeypatch.context() as m:
+        m.setattr(verify, "MC_BLOCK", block)
+        return monte_carlo_overlap(spec, **kwargs)
+
+
+def test_oracle_chunking_matches_single_pass(monkeypatch):
     spec = CurveSpec(family="fermat", turns=1.0)
-    a = monte_carlo_overlap(spec, g=0.2, samples=300_000, seed=4, chunk=70_000)
-    b = monte_carlo_overlap(spec, g=0.2, samples=300_000, seed=4, chunk=300_000)
+    a = _oracle_in_blocks(monkeypatch, 70_000, spec, g=0.2, samples=300_000, seed=4)
+    b = _oracle_in_blocks(monkeypatch, 300_000, spec, g=0.2, samples=300_000, seed=4)
     assert a.value == b.value
 
 
@@ -645,9 +704,9 @@ ORACLE_BLOCK_SPECS = [
 
 
 @pytest.mark.parametrize("spec", ORACLE_BLOCK_SPECS, ids=lambda s: s.family)
-def test_oracle_blocks_match_one_pass_across_block_edges(spec):
+def test_oracle_blocks_match_one_pass_across_block_edges(spec, monkeypatch):
     for samples in (1, MC_BLOCK - 1, MC_BLOCK, MC_BLOCK + 1, 3 * MC_BLOCK + 7):
-        one_pass = monte_carlo_overlap(spec, g=0.3, samples=samples, seed=5, chunk=samples)
+        one_pass = _oracle_in_blocks(monkeypatch, samples, spec, g=0.3, samples=samples, seed=5)
         assert monte_carlo_overlap(spec, g=0.3, samples=samples, seed=5) == one_pass, samples
 
 
@@ -655,12 +714,6 @@ def test_oracle_blocks_match_one_pass_across_block_edges(spec):
 def test_oracle_memory_does_not_grow_with_samples(spec):
     # one 1e6-sample pass would hold a 16 MB sample pair and 8 MB temporaries
     assert _traced_peak(monte_carlo_overlap, spec, g=0.3, samples=1_000_000, seed=2) < 4 * 1024 * 1024
-
-
-def test_oracle_refuses_a_block_size_below_one():
-    spec = CurveSpec(family="fermat")
-    for chunk in (0, -1, 2.5):
-        _raises_without_allocating("chunk", monte_carlo_overlap, spec, g=0.3, samples=10, seed=0, chunk=chunk)
 
 
 def test_oracle_agrees_with_quadrature_on_counterexample():
@@ -712,11 +765,11 @@ def _disk_point_turning_angles(points):
     CurveSpec(family="custom", samples=quad_table()),
 ], ids=_spec_id)
 def test_a5_max_angle_matches_disk_point_polyline(spec):
-    n = 512
+    n = POLYLINE_POINTS
     points = beta_polyline(spec, n)
     expected = max(
         float(np.max(_disk_point_turning_angles(points[j * n : (j + 1) * n])))
         for j in range(spec.parts)
     )
-    report = check_axioms(spec, g_grid=8, v_quadrature=101, polyline_points=n)
+    report = check_axioms(spec, g_grid=8, v_quadrature=101)
     assert report.axioms["A5"].witness == pytest.approx(expected, abs=1e-12)
