@@ -19,14 +19,14 @@ whose tent centres are explicit in t, so no inverse is needed.
 ``perfect_profile`` takes it exactly for the piecewise-linear interpolant of
 alpha on knots in t that hold every seam (alpha itself for fermat and tables):
 each segment adds a difference of the tent's antiderivative, quadratic ramps
-that ``circle_sets.overlap_sums`` reads at every axis from one sort of the
-centres.  ``monte_carlo_overlap`` estimates the same quantity by throwing
-uniform points at the cylinder, an independent check on that path.  It draws
-and tests them in blocks of ``MC_BLOCK`` = 16 384: each block's arrays are
-128 KB, small enough to stay in cache and be reused from the heap rather than
-faulted in afresh, so memory does not grow with the sample count (8 192
-measured the same; 2 048 and 65 536 or more were slower).  The estimate is
-bit for bit the same at any block size.
+that ``circle_sets.overlap_sums`` reads at every axis from sorted centres and
+prefix sums.  ``monte_carlo_overlap`` estimates the same quantity by throwing
+uniform points at the cylinder, an independent check on that path.  Both walk
+their input in blocks of ``BLOCK`` = 16 384 knots or samples, whose 128 KB
+arrays stay in cache and are reused from the heap rather than faulted in
+afresh, so memory grows with neither count (4 096 and 32 768 were slower for
+A4, 2 048 and 65 536 for the oracle).  A4 is bit for bit the one-pass sum up
+to ``BLOCK`` knots (about 1e-15 off beyond), the oracle's estimate at any size.
 
 ``rotation_check`` integrates the largest rotation-invariant subset of
 each slice.  A slice is one arc of length L <= 1/2, so for a rotation p/q
@@ -63,7 +63,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import __version__
-from .circle_sets import MAX_Q, overlap_sums
+from .circle_sets import BLOCK, MAX_Q, overlap_sums
 from .curves import AlphaProfile, CurveSpec, Table, branch_polylines, polyline_turning_angles
 from .geometry import finite, integer, mod1
 
@@ -96,14 +96,21 @@ V_QUADRATURE = 100_000
 MAX_G_GRID = 65_536
 MAX_V_QUADRATURE = 2_000_001
 MAX_MC_SAMPLES = 10_000_000
-#: Disk samples the oracle draws and tests at a time (see the module docstring).
-MC_BLOCK = 16_384
 
 
 def knot_count(profile: AlphaProfile, n: int) -> int:
     """How many knots ``profile_knots(profile, n)`` makes, without making them."""
     n = integer("quadrature nodes", n, 2, MAX_V_QUADRATURE)
     return max(n | 1, len(profile.seams()))
+
+
+def _knot_map(profile: AlphaProfile, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Knot indices and knots of the seams: ``profile_knots`` interpolates between them."""
+    seams = profile.seams()
+    cum = np.cumsum(np.diff(seams))
+    extra = knot_count(profile, n) - len(seams)
+    ends = np.rint(extra * (cum / cum[-1])).astype(np.int64) + np.arange(1, len(cum) + 1)
+    return np.append(0, ends), seams
 
 
 def profile_knots(profile: AlphaProfile, n: int) -> np.ndarray:
@@ -115,11 +122,8 @@ def profile_knots(profile: AlphaProfile, n: int) -> np.ndarray:
     counts whenever the counts allow it.  Every seam is a knot, so the
     interpolant is alpha itself for fermat and tables.
     """
-    seams = profile.seams()
-    cum = np.cumsum(np.diff(seams))
-    extra = knot_count(profile, n) - len(seams)
-    ends = np.rint(extra * (cum / cum[-1])).astype(np.int64) + np.arange(1, len(cum) + 1)
-    return np.interp(np.arange(ends[-1] + 1.0), np.append(0, ends), seams)
+    index, seams = _knot_map(profile, n)
+    return np.interp(np.arange(index[-1] + 1.0), index, seams)
 
 
 @dataclass(frozen=True)
@@ -153,24 +157,34 @@ def perfect_profile(
 
     For g, c in [0, 1) the second difference Q(g + L) - 2 Q(g) + Q(g - L) of the
     quadratic ramp Q(y) = (y - c)_+^2 / 2 of ``overlap_sums`` is
-    P(g - c) + L^2 (1/2 + g - c): the kernel reads the sum at all axes in
-    O((N + G) log N) for N knots and G axes, less that line.
+    P(g - c) + L^2 (1/2 + g - c): the kernel reads the sum at all axes, less
+    that line, in O(N log BLOCK + G N / BLOCK) time and O(BLOCK + G) memory.
     """
     g_grid = integer("reflection axes g_grid", g_grid, 2, MAX_G_GRID)
     profile = spec.alpha_profile()
-    t = profile_knots(profile, v_quadrature)
-    alpha = profile.evaluate(t)
-    rise = alpha[-1] - alpha[0]
-    jumps = np.diff(np.diff(alpha) / (2.0 * np.diff(t)), prepend=0.0, append=0.0)
+    index, seams = _knot_map(profile, v_quadrature)
+    n = int(index[-1]) + 1
     length = 1.0 / spec.parts
     target = length * length
     g_values = np.arange(g_grid) / g_grid
-    centres = 2.0 * t + length
-    del t, alpha  # freed before the sort: the peak stays at seven arrays of the knot count
-    centres -= np.floor(centres)  # mod 1, exact for centres >= 0 and faster than np.mod
-    f = overlap_sums(centres, jumps, g_values, (length, 0.0, -length), (1.0, -2.0, 1.0), degree=2)
-    # pairwise sums, not a BLAS dot, which can cost 50x more on 1e5 terms when it starts threads
-    f += target * (rise + np.sum(jumps * centres) - (0.5 + g_values) * np.sum(jumps))
+    totals = np.zeros(3)  # alpha_N - alpha_0, sum D c and sum D over the blocks read so far
+
+    def blocks():
+        for lo in range(0, n, BLOCK):
+            first, hi = max(lo - 1, 0), min(lo + BLOCK, n)  # a knot beyond each side for the slopes
+            t = np.interp(np.arange(first, min(hi + 1, n), dtype=float), index, seams)
+            alpha = profile.evaluate(t)
+            half_slopes = np.diff(alpha) / (2.0 * np.diff(t))
+            jumps = np.diff(np.concatenate(([0.0] if lo == 0 else [], half_slopes, [0.0] if hi == n else [])))
+            centres = 2.0 * t[lo - first : hi - first] + length
+            centres -= np.floor(centres)  # mod 1, exact for centres >= 0 and faster than np.mod
+            # pairwise sums, not a BLAS dot, which can cost 50x more on 1e5 terms when it starts threads
+            totals[:] += ((alpha[-1] if hi == n else 0.0) - (alpha[0] if lo == 0 else 0.0),
+                          np.sum(jumps * centres), np.sum(jumps))
+            yield centres, jumps
+
+    f = overlap_sums(blocks(), g_values, np.array([length, 0.0, -length]), (1.0, -2.0, 1.0), degree=2)
+    f += target * (totals[0] + totals[1] - (0.5 + g_values) * totals[2])
     dev = np.abs(f - target)
     witness = int(np.argmax(dev))
     return PerfectProfile(
@@ -179,7 +193,7 @@ def perfect_profile(
         target=target,
         max_deviation=float(dev[witness]),
         witness_g=float(g_values[witness]),
-        v_nodes=len(centres),
+        v_nodes=n,
     )
 
 
@@ -524,7 +538,7 @@ def monte_carlo_overlap(spec: CurveSpec, g: float, samples: int, seed: int) -> O
     together with their reflection.  Reproducible for a fixed seed; the
     standard error is the sample standard deviation over sqrt(samples).
 
-    The points are drawn and tested ``MC_BLOCK`` at a time (see the module
+    The points are drawn and tested ``BLOCK`` at a time (see the module
     docstring for why that size), so memory stays at a few block-sized arrays
     whatever ``samples`` is.  The estimate does not depend on the block size:
     the (U, U') pairs come row by row from one stream, and every later step
@@ -538,7 +552,7 @@ def monte_carlo_overlap(spec: CurveSpec, g: float, samples: int, seed: int) -> O
     hits = 0
     remaining = samples
     while remaining > 0:
-        n = min(MC_BLOCK, remaining)
+        n = min(BLOCK, remaining)
         pair = rng.random((n, 2))  # row-major: the stream does not depend on the block size
         v, u = pair[:, 0], pair[:, 1]
         t = profile.inverse(v)

@@ -12,14 +12,17 @@ over the curve parameter t, the library's rule before it took the exact
 integral of the profile's piecewise-linear interpolant; and that exact
 integral summed segment by segment at every axis, with no sort or prefix
 sum.  Radial crossing counts are sampled radius by radius, where the library
-reads their range from the closed form parts * turns / 2.
+reads their range from the closed form parts * turns / 2.  The library's
+kernel sums its points in blocks; the one-pass kernel and A4 profile it
+replaced, one sort over every point, are kept here as references that it
+must match bit for bit in one block and to rounding beyond.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from yinyang.circle_sets import EPS, CircleSet, overlap_sums
+from yinyang.circle_sets import EPS, CircleSet, _prefix_sums, overlap_sums
 from yinyang.verify import MAX_V_QUADRATURE, profile_knots
 
 
@@ -184,7 +187,7 @@ def v_path_profile_values(spec, g_grid: int, v_quadrature: int) -> np.ndarray:
     nodes, w = v_quadrature_rule(v_quadrature)
     centres = np.mod(2.0 * bisect_inverse(spec.alpha_profile(), nodes) + length, 1.0)
     g = np.arange(g_grid) / g_grid
-    return overlap_sums(centres, w, g, (length, 0.0, -length), (1.0, -2.0, 1.0))
+    return overlap_sums([(centres, w)], g, np.array([length, 0.0, -length]), (1.0, -2.0, 1.0))
 
 
 def t_quadrature_rule(profile, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -231,7 +234,7 @@ def t_rule_profile_values(spec, g_grid: int, v_quadrature: int) -> np.ndarray:
     nodes, w = t_quadrature_rule(spec.alpha_profile(), v_quadrature)
     centres = np.mod(2.0 * nodes + length, 1.0)
     g = np.arange(g_grid) / g_grid
-    return overlap_sums(centres, w, g, (length, 0.0, -length), (1.0, -2.0, 1.0))
+    return overlap_sums([(centres, w)], g, np.array([length, 0.0, -length]), (1.0, -2.0, 1.0))
 
 
 def _tent_integral(u, length: float):
@@ -275,3 +278,46 @@ def radial_crossings(turns: float, parts: int, u0) -> np.ndarray:
         hi = lo + turns / 2.0
         total += np.floor(hi - u0) - np.floor(lo - u0)
     return total.astype(int)
+
+
+def one_pass_overlap_sums(points: np.ndarray, weights: np.ndarray, g, shifts, coefs,
+                          degree: int = 1) -> np.ndarray:
+    """The overlap kernel in one pass: one stable sort of every point, prefix sums, ramps per shift."""
+    order = np.argsort(points, kind="stable")
+    x, wx = points[order], weights[order]
+    cum = [_prefix_sums(wx)]  # cum[p] sums w * x^p over copy 0
+    for _ in range(degree):
+        wx *= x
+        cum.append(_prefix_sums(wx))
+    w0, w1 = cum[0][-1], cum[1][-1]
+    out = np.zeros(len(g))
+    for shift, coef in zip(shifts, coefs):
+        y = g + shift
+        m = np.floor(y)  # the copy that holds y; copy j adds j to every point
+        k = np.searchsorted(x, y - m, side="right")
+        c0, c1 = cum[0][k], cum[1][k]
+        s0 = c0 + m * w0
+        s1 = c1 + m * c0 + m * w1 + 0.5 * m * (m - 1.0) * w0
+        if degree == 1:
+            out += coef * (y * s0 - s1)
+            continue
+        s2 = (cum[2][k] + m * (2.0 * c1 + m * c0) + m * cum[2][-1]
+              + m * (m - 1.0) * (w1 + (2.0 * m - 1.0) / 6.0 * w0))
+        out += coef * (0.5 * y * (y * s0 - 2.0 * s1) + 0.5 * s2)
+    return out
+
+
+def one_pass_profile_values(spec, g_grid: int, v_quadrature: int) -> np.ndarray:
+    """f(g) of ``perfect_profile`` from every knot at once: one sort of all the tent centres."""
+    profile = spec.alpha_profile()
+    t = profile_knots(profile, v_quadrature)
+    alpha = profile.evaluate(t)
+    rise = alpha[-1] - alpha[0]
+    jumps = np.diff(np.diff(alpha) / (2.0 * np.diff(t)), prepend=0.0, append=0.0)
+    length = 1.0 / spec.parts
+    g = np.arange(g_grid) / g_grid
+    centres = 2.0 * t + length
+    centres -= np.floor(centres)
+    f = one_pass_overlap_sums(centres, jumps, g, (length, 0.0, -length), (1.0, -2.0, 1.0), degree=2)
+    f += length * length * (rise + np.sum(jumps * centres) - (0.5 + g) * np.sum(jumps))
+    return f

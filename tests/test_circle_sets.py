@@ -13,6 +13,7 @@ from _oracles import (
     grid_overlap_profile,
     grid_reflection_overlap,
     iterated_rotation_invariant_part,
+    one_pass_overlap_sums,
     pairwise_intersection,
     pairwise_reflection_overlap,
 )
@@ -235,6 +236,18 @@ def test_profile_matches_pointwise_overlap(s):
     rng = np.random.RandomState(7)
     for g in rng.uniform(0.0, 1.0, 25):
         assert prof(g) == pytest.approx(s.reflection_overlap(g), abs=TOL)
+
+
+@given(circle_sets(max_arcs=32), st.floats(0.0, 1.0, exclude_max=True))
+@settings(max_examples=60, deadline=None)
+def test_overlaps_equal_the_one_pass_kernel_bit_for_bit(s, g):
+    # a circle set is one block of the overlap kernel, so nothing may move by an ulp
+    ends = np.array(s.pieces).reshape(-1)
+    signs = np.tile([1.0, -1.0], len(s.pieces))
+    prof = s.overlap_profile()
+    one_pass = one_pass_overlap_sums(ends, signs, np.array(prof.breakpoints), -ends, signs)
+    assert prof.values == tuple(one_pass.tolist())
+    assert s.reflection_overlap(g) == one_pass_overlap_sums(ends, signs, np.array([g]), -ends, signs)[0]
 
 
 def test_profile_matches_pointwise_at_1000_random_axes():

@@ -9,6 +9,7 @@ import pytest
 from _oracles import (
     bisect_inverse,
     interpolant_profile_values,
+    one_pass_profile_values,
     radial_crossings,
     t_quadrature_rule,
     t_rule_profile_values,
@@ -28,13 +29,13 @@ from yinyang.curves import (
 )
 from yinyang.render import RenderConfig
 from yinyang.verify import (
+    BLOCK,
     FLATNESS_TOL_CLOSED_FORM,
     FLATNESS_TOL_TABLE,
     G_GRID,
     MAX_G_GRID,
     MAX_MC_SAMPLES,
     MAX_V_QUADRATURE,
-    MC_BLOCK,
     POLYLINE_POINTS,
     V_QUADRATURE,
     AxiomVerdict,
@@ -365,6 +366,45 @@ def test_ck_seam_split_keeps_the_profile_flat():
     assert perfect_profile(spec, v_quadrature=5001).max_deviation <= 1e-12
 
 
+# -- knot blocks against the one-pass sweep ----------------------------------------
+
+BLOCK_SPECS = [
+    CurveSpec(family="fermat", turns=1.0),
+    CurveSpec(family="fermat", turns=1.5, parts=3),
+    CurveSpec(family="sine", lam=0.1),
+    CurveSpec(family="ck", lam=1.0, k=3),
+    CurveSpec(family="ck", lam=7.99, k=0),
+    CurveSpec(family="custom", samples=quad_table()),
+    CurveSpec(family="custom", samples=quad_table(33), parts=3),
+    QUADRATIC_33,
+]
+
+
+@pytest.mark.parametrize("spec", BLOCK_SPECS, ids=lambda s: _spec_id(s) + f"-{len(s.samples or ())}")
+def test_knot_blocks_match_the_one_pass_sweep(spec):
+    # up to BLOCK knots there is one block and nothing may move; beyond, only rounding
+    for knots in (3, 2001, 5001, BLOCK - 1):
+        prof = perfect_profile(spec, g_grid=64, v_quadrature=knots)
+        assert prof.v_nodes == knot_count(spec.alpha_profile(), knots)
+        assert np.array_equal(prof.values, one_pass_profile_values(spec, 64, knots)), knots
+    for knots in (BLOCK + 1, 3 * BLOCK + 7, 1_000_001):
+        prof = perfect_profile(spec, g_grid=64, v_quadrature=knots)
+        assert prof.v_nodes == knots
+        assert np.max(np.abs(prof.values - one_pass_profile_values(spec, 64, knots))) <= 1e-14, knots
+
+
+@pytest.mark.parametrize("block", [1, 2, 7])
+def test_seams_and_table_knots_on_block_edges(block, monkeypatch):
+    # 225 knots: ck's seam at t = 1/4 is knot 112, and every 7th knot is one of the
+    # 33-knot table's, so blocks of 1, 2 and 7 start on seams and table knots
+    assert profile_knots(Ck(1.0, 0), 225)[112] == 0.25
+    assert np.array_equal(profile_knots(Table(quad_table(33)), 225)[::7], Table(quad_table(33)).seams())
+    monkeypatch.setattr(verify, "BLOCK", block)
+    for spec in BLOCK_SPECS:
+        values = perfect_profile(spec, g_grid=64, v_quadrature=225).values
+        assert np.max(np.abs(values - one_pass_profile_values(spec, 64, 225))) <= 1e-14, _spec_id(spec)
+
+
 # -- relation residuals ----------------------------------------------------------
 
 
@@ -684,7 +724,7 @@ def test_oracle_is_deterministic():
 
 def _oracle_in_blocks(monkeypatch, block, spec, **kwargs):
     with monkeypatch.context() as m:
-        m.setattr(verify, "MC_BLOCK", block)
+        m.setattr(verify, "BLOCK", block)
         return monte_carlo_overlap(spec, **kwargs)
 
 
@@ -705,7 +745,7 @@ ORACLE_BLOCK_SPECS = [
 
 @pytest.mark.parametrize("spec", ORACLE_BLOCK_SPECS, ids=lambda s: s.family)
 def test_oracle_blocks_match_one_pass_across_block_edges(spec, monkeypatch):
-    for samples in (1, MC_BLOCK - 1, MC_BLOCK, MC_BLOCK + 1, 3 * MC_BLOCK + 7):
+    for samples in (1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7):
         one_pass = _oracle_in_blocks(monkeypatch, samples, spec, g=0.3, samples=samples, seed=5)
         assert monte_carlo_overlap(spec, g=0.3, samples=samples, seed=5) == one_pass, samples
 
@@ -714,6 +754,12 @@ def test_oracle_blocks_match_one_pass_across_block_edges(spec, monkeypatch):
 def test_oracle_memory_does_not_grow_with_samples(spec):
     # one 1e6-sample pass would hold a 16 MB sample pair and 8 MB temporaries
     assert _traced_peak(monte_carlo_overlap, spec, g=0.3, samples=1_000_000, seed=2) < 4 * 1024 * 1024
+
+
+@pytest.mark.parametrize("spec", ORACLE_BLOCK_SPECS, ids=lambda s: s.family)
+def test_a4_memory_does_not_grow_with_v_quad(spec):
+    # one pass over 2e6 knots holds about seven 16 MB arrays
+    assert _traced_peak(perfect_profile, spec, v_quadrature=2_000_000) < 4 * 1024 * 1024
 
 
 def test_oracle_agrees_with_quadrature_on_counterexample():
