@@ -53,7 +53,10 @@ class AlphaProfile(ABC):
     u = domain_end = turns/2.  A family gives the formula ``_alpha`` and its
     ``derivative``, may list interior ``seams`` where the derivative is not
     smooth, and may replace the certified Newton ``_inverse`` by a closed form.
+    ``linear_pieces`` says alpha is linear between its seams.
     """
+
+    linear_pieces = False
 
     def __init__(self, turns: float):
         if not 1.0 / MAX_TURNS <= turns <= MAX_TURNS:
@@ -143,6 +146,8 @@ class AlphaProfile(ABC):
 class Fermat(AlphaProfile):
     """Linear profile alpha(u) = (2/turns) u for the turns-turn spiral."""
 
+    linear_pieces = True
+
     def __init__(self, turns: float):
         super().__init__(finite("turns", turns))
 
@@ -228,6 +233,8 @@ class Table(AlphaProfile):
     v = 1; a (0, 0) anchor is prepended when missing.  Violations are hard
     errors.  ``samples`` keeps the table as given, as float pairs.
     """
+
+    linear_pieces = True
 
     def __init__(self, samples: Sequence[Sequence[float]]):
         self.samples = table = _sample_table(samples)

@@ -17,16 +17,17 @@ Substituting v = alpha(t), dv = alpha'(t) dt gives
 
 whose tent centres are explicit in t, so no inverse is needed.
 ``perfect_profile`` takes it exactly for the piecewise-linear interpolant of
-alpha on knots in t that hold every seam (alpha itself for fermat and tables):
-each segment adds a difference of the tent's antiderivative, quadratic ramps
-that ``circle_sets.overlap_sums`` reads at every axis from sorted centres and
-prefix sums.  ``monte_carlo_overlap`` estimates the same quantity by throwing
-uniform points at the cylinder, an independent check on that path.  Both walk
-their input in blocks of ``BLOCK`` = 16 384 knots or samples, whose 128 KB
-arrays stay in cache and are reused from the heap rather than faulted in
-afresh, so memory grows with neither count (4 096 and 32 768 were slower for
-A4, 2 048 and 65 536 for the oracle).  A4 is bit for bit the one-pass sum up
-to ``BLOCK`` knots (about 1e-15 off beyond), the oracle's estimate at any size.
+alpha on knots in t that hold every seam: each segment adds a difference of
+the tent's antiderivative, quadratic ramps that ``circle_sets.overlap_sums``
+reads at every axis from sorted centres and prefix sums.  Where alpha is
+linear between seams (``linear_pieces``: fermat, tables) it walks only those.
+``monte_carlo_overlap`` estimates the same quantity by throwing uniform
+points at the cylinder, an independent check on that path.  Both walk their
+input in blocks of ``BLOCK`` = 16 384 knots or samples, whose 128 KB arrays
+stay in cache and are reused from the heap rather than faulted in afresh, so
+memory grows with neither count (4 096 and 32 768 were slower for A4, 2 048
+and 65 536 for the oracle).  A4 is bit for bit the one-pass sum up to
+``BLOCK`` knots (about 1e-15 off beyond), the oracle's estimate at any size.
 
 ``rotation_check`` integrates the largest rotation-invariant subset of
 each slice.  A slice is one arc of length L <= 1/2, so for a rotation p/q
@@ -119,8 +120,8 @@ def profile_knots(profile: AlphaProfile, n: int) -> np.ndarray:
     n is rounded up to odd, m, and the m - 1 intervals go to the pieces between
     the profile's seams in proportion to length, at least one each (so more
     pieces than intervals make more knots); pieces of equal length get equal
-    counts whenever the counts allow it.  Every seam is a knot, so the
-    interpolant is alpha itself for fermat and tables.
+    counts whenever the counts allow it.  Every seam is a knot: for fermat and
+    tables the interpolant is alpha, which A4 reads on the seams alone.
     """
     index, seams = _knot_map(profile, n)
     return np.interp(np.arange(index[-1] + 1.0), index, seams)
@@ -158,11 +159,15 @@ def perfect_profile(
     For g, c in [0, 1) the second difference Q(g + L) - 2 Q(g) + Q(g - L) of the
     quadratic ramp Q(y) = (y - c)_+^2 / 2 of ``overlap_sums`` is
     P(g - c) + L^2 (1/2 + g - c): the kernel reads the sum at all axes, less
-    that line, in O(N log BLOCK + G N / BLOCK) time and O(BLOCK + G) memory.
+    that line, in O(N log BLOCK + G N / BLOCK) time and O(BLOCK + G) memory.  A
+    profile with ``linear_pieces`` is also its interpolant on ``profile_knots(profile,
+    2)``, its seams (and a midpoint when there are two): N counts those, and
+    ``v_nodes`` the knots of ``v_quadrature``.
     """
     g_grid = integer("reflection axes g_grid", g_grid, 2, MAX_G_GRID)
     profile = spec.alpha_profile()
-    index, seams = _knot_map(profile, v_quadrature)
+    v_nodes = knot_count(profile, v_quadrature)
+    index, seams = _knot_map(profile, 2 if profile.linear_pieces else v_quadrature)
     n = int(index[-1]) + 1
     length = 1.0 / spec.parts
     target = length * length
@@ -193,7 +198,7 @@ def perfect_profile(
         target=target,
         max_deviation=float(dev[witness]),
         witness_g=float(g_values[witness]),
-        v_nodes=n,
+        v_nodes=v_nodes,
     )
 
 
@@ -353,9 +358,10 @@ def check_axioms(
         raise ValueError(f"flatness tolerance must be >= 0, got {flatness_tolerance}")
     profile = spec.alpha_profile()
     # centres step by turns/(knots - 1); two must fit in a tent side 1/parts for a curved
-    # profile's interpolant to follow it (steps 1, 1/2, 1/4 land on 1, 2, 4 points)
+    # profile's interpolant to follow it (steps 1, 1/2, 1/4 land on 1, 2, 4 points); a
+    # profile linear between its seams is its own interpolant at any knot count
     needed = 2 * spec.parts * profile.turns + 1
-    if knot_count(profile, v_quadrature) <= needed:
+    if not profile.linear_pieces and knot_count(profile, v_quadrature) <= needed:
         raise ValueError(f"A4 quadrature too coarse for turns={profile.turns:g}: "
                          f"--v-quad must exceed 2 * parts * turns + 1 = {needed:g}")
     notes: list[str] = []

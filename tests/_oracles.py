@@ -11,11 +11,16 @@ each slice located by a plain bisection of the profile; composite Simpson
 over the curve parameter t, the library's rule before it took the exact
 integral of the profile's piecewise-linear interpolant; and that exact
 integral summed segment by segment at every axis, with no sort or prefix
-sum.  Radial crossing counts are sampled radius by radius, where the library
-reads their range from the closed form parts * turns / 2.  The library's
+sum.  For one turn and two parts the paper's quarter-shift law bounds A4
+independently: max |f - 1/4| <= sup |rho| / 2 with rho(t) = alpha(t + 1/4) -
+alpha(t) - 1/2, whose sup over [0, 1/4] is read from alpha alone.  Radial
+crossing counts are sampled radius by radius, where the library reads their
+range from the closed form parts * turns / 2.  The library's
 kernel sums its points in blocks; the one-pass kernel and A4 profile it
 replaced, one sort over every point, are kept here as references that it
-must match bit for bit in one block and to rounding beyond.
+must match bit for bit in one block and to rounding beyond.  A profile that
+is linear between its seams walks only those; the one-pass profile over the
+knots of ``--v-quad``, the path it replaced there, must match it to rounding.
 """
 
 from __future__ import annotations
@@ -321,3 +326,17 @@ def one_pass_profile_values(spec, g_grid: int, v_quadrature: int) -> np.ndarray:
     f = one_pass_overlap_sums(centres, jumps, g, (length, 0.0, -length), (1.0, -2.0, 1.0), degree=2)
     f += length * length * (rise + np.sum(jumps * centres) - (0.5 + g) * np.sum(jumps))
     return f
+
+
+def quarter_shift_sup(profile, grid: int = 1001) -> float:
+    """sup |rho| over t in [0, 1/4] of rho(t) = alpha(t + 1/4) - alpha(t) - 1/2, for one turn.
+
+    rho is read at the seams u_i and at u_i - 1/4 that lie in [0, 1/4], and on a
+    uniform grid there.  For a table rho is linear between those breakpoints,
+    so this is its sup exactly; for a curved profile it is a lower bound, which
+    only makes ``max_dev <= sup|rho| / 2`` harder to pass.
+    """
+    seams = profile.seams()
+    t = np.concatenate((seams, seams - 0.25, np.linspace(0.0, 0.25, grid)))
+    t = t[(t >= 0.0) & (t <= 0.25)]
+    return float(np.max(np.abs(profile.evaluate(t + 0.25) - profile.evaluate(t) - 0.5)))

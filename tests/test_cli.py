@@ -134,12 +134,20 @@ def test_work_size_over_cap_exits_two(argv, limit, capsys):
 
 
 def test_verify_a_t_rule_too_coarse_for_a4_exits_two(capsys):
-    # at the default --v-quad the 100 000-turn spiral's tent centres all land on one point
-    code = run(["verify", "--family", "fermat", "--turns", "100000"])
+    # 9 knots step the tent centres by 1/8, half the four-part sine's tent side
+    code = run(["verify", "--family", "sine", "--lambda", "0.1", "--parts", "4", "--v-quad", "9"])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error:") and "--v-quad" in captured.err, captured.err
+    assert run(["verify", "--family", "sine", "--lambda", "0.1", "--parts", "4", "--v-quad", "11",
+                "--axioms", "A2"]) == 0
+
+
+def test_verify_many_turn_fermat_passes_a4_at_the_default_t_rule(capsys):
+    # fermat is its own interpolant, so no knot count is too coarse for it
+    assert run(["verify", "--family", "fermat", "--turns", "100000", "--axioms", "A4"]) == 0
+    assert json.loads(capsys.readouterr().out)["profile"]["v_nodes"] == 100_001
 
 
 def test_verify_bad_axiom_id_exits_two():
