@@ -16,7 +16,8 @@ is a piecewise-linear function of g whose kinks occur only at pairwise
 sums of arc endpoints (mod 1).  It is sum_k sigma_k M(g - e_k) over the
 endpoints e_k (sigma_k = +1 at a start, -1 at an end) of M(y) = integral_0^y 1_S:
 the measure of S inside each reflected arc, which the package's one overlap
-kernel :func:`overlap_sums` reads at every breakpoint.  So the averaging identity
+kernel :func:`overlap_sums` reads at every breakpoint from one sort of the
+endpoints (A4 adds its values over blocks of tent centres).  So the averaging identity
 
     integral of f over the circle  =  measure(S)^2
 
@@ -139,53 +140,44 @@ def _prefix_sums(x: np.ndarray) -> np.ndarray:
     return out[: n + 1]
 
 
-def overlap_sums(blocks: Iterable[tuple[np.ndarray, np.ndarray]], g: np.ndarray, shifts: np.ndarray, coefs,
+def overlap_sums(points: np.ndarray, weights: np.ndarray, g: np.ndarray, shifts: np.ndarray, coefs,
                  degree: int = 1) -> np.ndarray:
     """sum_j coefs_j * Q(g + shifts_j) at every g, for Q(y) = sum_l w_l * (y - x_l)_+^d / d!.
 
     The ramp degree d is 1 or 2.  Q sums over the copies x_l + m of the points
     x_l in [0, 1], counted from the start of copy 0 (negatively below 0), so on
     [0, 1) Q sums the points below y.  With S_p summing w * x^p over the copies
-    below y, Q is y S_0 - S_1 or (y^2 S_0 - 2 y S_1 + S_2) / 2, linear in sums
-    over copy 0 that add up over the ``(points, weights)`` blocks: each is sorted
-    once (stable, quick on presorted runs such as the A4 centres) and looked up
-    in its prefix sums.  Lookups and ramps take as many shifts at a time as make
-    ``BLOCK`` values, and the ramps come last.  One block is bit for bit the one-pass sum.
+    below y, Q is y S_0 - S_1 or (y^2 S_0 - 2 y S_1 + S_2) / 2.  The points are
+    sorted once (stable, quick on presorted runs such as the A4 centres) and
+    each S_p read from their prefix sums and totals.  The ramps take as many
+    shifts at a time as make ``BLOCK`` values.  Q is linear in the weights, so
+    a caller with more points than fit in cache adds up the sums of its blocks.
     """
     if degree not in (1, 2):
         raise ValueError(f"ramp degree must be 1 or 2, got {degree}")
+    order = np.argsort(points, kind="stable")
+    x, wx = points[order], weights[order]
+    cum = [_prefix_sums(wx)]  # cum[p] sums w * x^p over copy 0
+    for _ in range(degree):
+        wx *= x
+        cum.append(_prefix_sums(wx))
+    w0, w1 = cum[0][-1], cum[1][-1]
     step = max(1, BLOCK // len(g))
-    rows = [slice(i, i + step) for i in range(0, len(shifts), step)]
-    sums = np.zeros((degree + 1, len(shifts), len(g)))  # [p, j]: w * x^p over copy 0 below g + shift j
-    totals = np.zeros(degree + 1)
-    for points, weights in blocks:
-        order = np.argsort(points, kind="stable")
-        x, wx = points[order], weights[order]
-        cum = [_prefix_sums(wx)]  # cum[p] sums w * x^p over copy 0
-        for _ in range(degree):
-            wx *= x
-            cum.append(_prefix_sums(wx))
-        for r in rows:
-            y = g + shifts[r, None]
-            k = np.searchsorted(x, y - np.floor(y), side="right")  # floor(y) is the copy that holds y
-            for p, c in enumerate(cum):
-                sums[p, r] += c[k]
-        totals += [c[-1] for c in cum]
-    w0, w1 = totals[0], totals[1]
     out = np.zeros(len(g))
-    for r in rows:
-        y = g + shifts[r, None]
-        m = np.floor(y)  # copy j adds j to every point
-        c0, c1 = sums[0, r], sums[1, r]
+    for i in range(0, len(shifts), step):
+        y = g + shifts[i : i + step, None]
+        m = np.floor(y)  # the copy that holds y; copy j adds j to every point
+        k = np.searchsorted(x, y - m, side="right")
+        c0, c1 = cum[0][k], cum[1][k]
         s0 = c0 + m * w0
         s1 = c1 + m * c0 + m * w1 + 0.5 * m * (m - 1.0) * w0
         if degree == 1:
             ramps = y * s0 - s1
         else:
-            s2 = (sums[2, r] + m * (2.0 * c1 + m * c0) + m * totals[2]
+            s2 = (cum[2][k] + m * (2.0 * c1 + m * c0) + m * cum[2][-1]
                   + m * (m - 1.0) * (w1 + (2.0 * m - 1.0) / 6.0 * w0))
             ramps = 0.5 * y * (y * s0 - 2.0 * s1) + 0.5 * s2
-        for coef, ramp in zip(coefs[r], ramps):
+        for coef, ramp in zip(coefs[i : i + step], ramps):
             out += coef * ramp
     return out
 
@@ -280,7 +272,7 @@ class CircleSet:
     def _overlaps(self, g: np.ndarray) -> np.ndarray:
         ends = np.array(self.pieces).reshape(-1)
         signs = np.tile([1.0, -1.0], len(self.pieces))
-        return overlap_sums([(ends, signs)], g, -ends, signs)
+        return overlap_sums(ends, signs, g, -ends, signs)
 
     def reflection_overlap(self, g: float) -> float:
         """measure(S intersect (g - S)): the largest subset symmetric under x -> g-x."""

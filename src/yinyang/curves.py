@@ -39,6 +39,8 @@ from .geometry import MAX_PARTS, DiskPoint, disk_to_cylinder, finite, integer, m
 #: Turn counts lie in [1/MAX_TURNS, MAX_TURNS]; at MAX_TURNS the A4 tent centres
 #: (2t + L) mod 1 still resolve to about 1e-10.
 MAX_TURNS = 1e6
+#: Largest smoothness order k of the ck family, far above the orders 0-3 in use.
+MAX_K = 1_000
 
 _INVERSE_BISECTIONS = 64  # enough to exhaust float64 resolution on (0, turns/2]
 _GUESS_KNOTS = 4097  # guess within about 5e-8 (5e-5 where alpha' nears 0): two Newton steps reach rounding
@@ -158,7 +160,8 @@ class Fermat(AlphaProfile):
         return np.full_like(u, 2.0 / self.turns)
 
     def _inverse(self, v):
-        return (self.turns / 2.0) * v
+        # the product passes domain_end for v above 1, where the contract clips
+        return np.minimum((self.turns / 2.0) * v, self.domain_end)
 
 
 class Sine(AlphaProfile):
@@ -189,7 +192,7 @@ class Ck(AlphaProfile):
         lam = finite("lambda", lam)
         if not lam > 0:
             raise ValueError(f"ck variant requires lambda > 0, got {lam}")
-        self.lam, self.k = lam, integer("smoothness order k", k, 0, math.inf)
+        self.lam, self.k = lam, integer("smoothness order k", k, 0, MAX_K)
         # on [0, 1/4] the derivative is least at u*, where k (1/4 - 2u)^2 = 2u (1/4 - u)
         worst = 0.125 + 0.125 / math.sqrt(2 * k + 1)
         deriv = float(self.derivative(worst))

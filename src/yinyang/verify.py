@@ -19,15 +19,16 @@ whose tent centres are explicit in t, so no inverse is needed.
 ``perfect_profile`` takes it exactly for the piecewise-linear interpolant of
 alpha on knots in t that hold every seam: each segment adds a difference of
 the tent's antiderivative, quadratic ramps that ``circle_sets.overlap_sums``
-reads at every axis from sorted centres and prefix sums.  Where alpha is
-linear between seams (``linear_pieces``: fermat, tables) it walks only those.
-``monte_carlo_overlap`` estimates the same quantity by throwing uniform
-points at the cylinder, an independent check on that path.  Both walk their
-input in blocks of ``BLOCK`` = 16 384 knots or samples, whose 128 KB arrays
-stay in cache and are reused from the heap rather than faulted in afresh, so
-memory grows with neither count (4 096 and 32 768 were slower for A4, 2 048
-and 65 536 for the oracle).  A4 is bit for bit the one-pass sum up to
-``BLOCK`` knots (about 1e-15 off beyond), the oracle's estimate at any size.
+reads at every axis from one block of sorted centres and prefix sums.  Where
+alpha is linear between seams (``linear_pieces``: fermat, tables) it walks
+only those.  ``monte_carlo_overlap`` estimates the same quantity by throwing
+uniform points at the cylinder, an independent check on that path.  Both walk
+their input in blocks of ``BLOCK`` = 16 384 knots or samples, whose 128 KB
+arrays stay in cache and are reused from the heap rather than faulted in
+afresh, so memory grows with neither count (4 096 and 32 768 were slower for
+A4, 2 048 and 65 536 for the oracle).  A4 adds the blocks' values: bit for bit
+the one-pass sum up to ``BLOCK`` knots (about 1e-15 off beyond).  The
+oracle's estimate is the same at any block size.
 
 ``rotation_check`` integrates the largest rotation-invariant subset of
 each slice.  A slice is one arc of length L <= 1/2, so for a rotation p/q
@@ -158,8 +159,10 @@ def perfect_profile(
 
     For g, c in [0, 1) the second difference Q(g + L) - 2 Q(g) + Q(g - L) of the
     quadratic ramp Q(y) = (y - c)_+^2 / 2 of ``overlap_sums`` is
-    P(g - c) + L^2 (1/2 + g - c): the kernel reads the sum at all axes, less
-    that line, in O(N log BLOCK + G N / BLOCK) time and O(BLOCK + G) memory.  A
+    P(g - c) + L^2 (1/2 + g - c).  f is linear in the D_i, so the kernel takes
+    the knots ``BLOCK`` at a time and each block's values add into f, next to
+    the line's three running totals: O(N log BLOCK + G N / BLOCK) time and
+    O(BLOCK + G) memory.  A
     profile with ``linear_pieces`` is also its interpolant on ``profile_knots(profile,
     2)``, its seams (and a midpoint when there are two): N counts those, and
     ``v_nodes`` the knots of ``v_quadrature``.
@@ -172,24 +175,23 @@ def perfect_profile(
     length = 1.0 / spec.parts
     target = length * length
     g_values = np.arange(g_grid) / g_grid
-    totals = np.zeros(3)  # alpha_N - alpha_0, sum D c and sum D over the blocks read so far
-
-    def blocks():
-        for lo in range(0, n, BLOCK):
-            first, hi = max(lo - 1, 0), min(lo + BLOCK, n)  # a knot beyond each side for the slopes
-            t = np.interp(np.arange(first, min(hi + 1, n), dtype=float), index, seams)
-            alpha = profile.evaluate(t)
-            half_slopes = np.diff(alpha) / (2.0 * np.diff(t))
-            jumps = np.diff(np.concatenate(([0.0] if lo == 0 else [], half_slopes, [0.0] if hi == n else [])))
-            centres = 2.0 * t[lo - first : hi - first] + length
-            centres -= np.floor(centres)  # mod 1, exact for centres >= 0 and faster than np.mod
-            # pairwise sums, not a BLAS dot, which can cost 50x more on 1e5 terms when it starts threads
-            totals[:] += ((alpha[-1] if hi == n else 0.0) - (alpha[0] if lo == 0 else 0.0),
-                          np.sum(jumps * centres), np.sum(jumps))
-            yield centres, jumps
-
-    f = overlap_sums(blocks(), g_values, np.array([length, 0.0, -length]), (1.0, -2.0, 1.0), degree=2)
-    f += target * (totals[0] + totals[1] - (0.5 + g_values) * totals[2])
+    shifts = np.array([length, 0.0, -length])
+    f = np.zeros(g_grid)
+    rise = jump_moment = jump_sum = 0.0  # alpha_N - alpha_0, sum D c and sum D
+    for lo in range(0, n, BLOCK):
+        first, hi = max(lo - 1, 0), min(lo + BLOCK, n)  # a knot beyond each side for the slopes
+        t = np.interp(np.arange(first, min(hi + 1, n), dtype=float), index, seams)
+        alpha = profile.evaluate(t)
+        half_slopes = np.diff(alpha) / (2.0 * np.diff(t))
+        jumps = np.diff(np.concatenate(([0.0] if lo == 0 else [], half_slopes, [0.0] if hi == n else [])))
+        centres = 2.0 * t[lo - first : hi - first] + length
+        centres -= np.floor(centres)  # mod 1, exact for centres >= 0 and faster than np.mod
+        f += overlap_sums(centres, jumps, g_values, shifts, (1.0, -2.0, 1.0), degree=2)
+        rise += (alpha[-1] if hi == n else 0.0) - (alpha[0] if lo == 0 else 0.0)
+        # pairwise sums, not a BLAS dot, which can cost 50x more on 1e5 terms when it starts threads
+        jump_moment += np.sum(jumps * centres)
+        jump_sum += np.sum(jumps)
+    f += target * (rise + jump_moment - (0.5 + g_values) * jump_sum)
     dev = np.abs(f - target)
     witness = int(np.argmax(dev))
     return PerfectProfile(

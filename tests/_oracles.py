@@ -15,10 +15,11 @@ sum.  For one turn and two parts the paper's quarter-shift law bounds A4
 independently: max |f - 1/4| <= sup |rho| / 2 with rho(t) = alpha(t + 1/4) -
 alpha(t) - 1/2, whose sup over [0, 1/4] is read from alpha alone.  Radial
 crossing counts are sampled radius by radius, where the library reads their
-range from the closed form parts * turns / 2.  The library's
-kernel sums its points in blocks; the one-pass kernel and A4 profile it
-replaced, one sort over every point, are kept here as references that it
-must match bit for bit in one block and to rounding beyond.  A profile that
+range from the closed form parts * turns / 2.  The library's A4
+adds up the overlap kernel's values over blocks of knots; the one-pass
+kernel and A4 profile that this replaced, one sort over every point, are kept
+here as references that it must match bit for bit in one block and to
+rounding beyond.  A profile that
 is linear between its seams walks only those; the one-pass profile over the
 knots of ``--v-quad``, the path it replaced there, must match it to rounding.
 """
@@ -192,7 +193,7 @@ def v_path_profile_values(spec, g_grid: int, v_quadrature: int) -> np.ndarray:
     nodes, w = v_quadrature_rule(v_quadrature)
     centres = np.mod(2.0 * bisect_inverse(spec.alpha_profile(), nodes) + length, 1.0)
     g = np.arange(g_grid) / g_grid
-    return overlap_sums([(centres, w)], g, np.array([length, 0.0, -length]), (1.0, -2.0, 1.0))
+    return overlap_sums(centres, w, g, np.array([length, 0.0, -length]), (1.0, -2.0, 1.0))
 
 
 def t_quadrature_rule(profile, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -239,7 +240,7 @@ def t_rule_profile_values(spec, g_grid: int, v_quadrature: int) -> np.ndarray:
     nodes, w = t_quadrature_rule(spec.alpha_profile(), v_quadrature)
     centres = np.mod(2.0 * nodes + length, 1.0)
     g = np.arange(g_grid) / g_grid
-    return overlap_sums([(centres, w)], g, np.array([length, 0.0, -length]), (1.0, -2.0, 1.0))
+    return overlap_sums(centres, w, g, np.array([length, 0.0, -length]), (1.0, -2.0, 1.0))
 
 
 def _tent_integral(u, length: float):

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -248,6 +249,22 @@ def test_overlaps_equal_the_one_pass_kernel_bit_for_bit(s, g):
     one_pass = one_pass_overlap_sums(ends, signs, np.array(prof.breakpoints), -ends, signs)
     assert prof.values == tuple(one_pass.tolist())
     assert s.reflection_overlap(g) == one_pass_overlap_sums(ends, signs, np.array([g]), -ends, signs)[0]
+
+
+def test_overlap_profile_memory_does_not_grow_with_ends_times_breakpoints():
+    # 64 disjoint arcs give 128 ends and about 8 300 breakpoints: a kernel that held a
+    # value per end and breakpoint would trace 8.5 MB per array
+    rng = np.random.RandomState(1)
+    s = CircleSet.from_arcs([(k / 64 + rng.uniform(0.0, 1 / 128), 1 / 256) for k in range(64)])
+    assert len(s.pieces) == 64
+    s.overlap_profile()  # imports and caches come before the trace
+    tracemalloc.start()
+    try:
+        s.overlap_profile()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 1024 * 1024, f"overlap_profile traced {peak / 1e6:.1f} MB at 64 arcs"
 
 
 def test_profile_matches_pointwise_at_1000_random_axes():

@@ -8,7 +8,7 @@ import pytest
 
 from yinyang import cli
 from yinyang.cli import run
-from yinyang.curves import MAX_TURNS
+from yinyang.curves import MAX_K, MAX_TURNS
 from yinyang.geometry import MAX_PARTS
 from yinyang.render import RenderConfig, render
 from yinyang.verify import MAX_G_GRID, MAX_MC_SAMPLES, MAX_Q, MAX_V_QUADRATURE
@@ -123,6 +123,9 @@ def test_verify_non_finite_sample_table_exits_two(tmp_path, capsys):
         (["verify", "--g-grid", str(MAX_G_GRID + 1)], MAX_G_GRID),
         (["verify", "--v-quad", str(MAX_V_QUADRATURE + 1)], MAX_V_QUADRATURE),
         (["oracle", "--g", "0.3", "--mc-samples", str(MAX_MC_SAMPLES + 1)], MAX_MC_SAMPLES),
+        (["verify", "--family", "ck", "--lambda", "1", "--k", str(MAX_K + 1)], MAX_K),
+        # 400 digits overflowed math.sqrt inside Ck: a traceback and exit 1
+        (["verify", "--family", "ck", "--lambda", "1", "--k", "1" + "0" * 400], MAX_K),
     ],
 )
 def test_work_size_over_cap_exits_two(argv, limit, capsys):

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from _oracles import bisect_inverse
 from yinyang.curves import (
     _GUESS_KNOTS,
+    MAX_K,
     MAX_TURNS,
     AlphaProfile,
     Ck,
@@ -117,8 +118,11 @@ def test_ck_rejects_nonmonotone_lambda_with_witness():
 
 
 def test_ck_rejects_bad_k():
-    with pytest.raises(ValueError):
-        Ck(1.0, -1)
+    # an unbounded k reached math.sqrt(2k + 1) and raised OverflowError, not ValueError
+    for k in (-1, MAX_K + 1, 10**400):
+        with pytest.raises(ValueError, match="smoothness order k"):
+            Ck(1.0, k)
+    assert Ck(1.0, MAX_K).k == MAX_K
 
 
 def test_ck_profile_invariants():
@@ -190,9 +194,11 @@ def test_inverse_and_section_refuse_nan():
 
 
 def test_inverse_states_the_range_it_accepts():
-    for profile in (Fermat(1.0), Sine(0.1), Ck(1.0, 1), Table(_quadratic_table())):
+    for profile in (Fermat(1.0), Fermat(1.5), Sine(0.1), Ck(1.0, 1), Table(_quadratic_table())):
         assert profile.inverse(0.0) == pytest.approx(0.0, abs=1e-15)
-        assert profile.inverse(1.0 + 1e-12) == pytest.approx(profile.domain_end, abs=1e-12)
+        # fermat's closed form multiplied past domain_end; the Newton path and tables clip
+        assert profile.inverse(1.0 + 1e-12) == profile.domain_end
+        assert np.all(profile.inverse(np.array([1.0, 1.0 + 1e-12])) == profile.domain_end)
         for bad in (-1e-300, 1.0 + 2e-12):
             with pytest.raises(ValueError, match=r"\[0, 1 \+ 1e-12\]"):
                 profile.inverse(bad)
