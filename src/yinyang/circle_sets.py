@@ -15,9 +15,10 @@ reflection x -> g - x of the circle, the overlap
 is a piecewise-linear function of g whose kinks occur only at pairwise
 sums of arc endpoints (mod 1).  It is sum_k sigma_k M(g - e_k) over the
 endpoints e_k (sigma_k = +1 at a start, -1 at an end) of M(y) = integral_0^y 1_S:
-the measure of S inside each reflected arc, which the package's one overlap
-kernel :func:`overlap_sums` reads at every breakpoint from one sort of the
-endpoints (A4 adds its values over blocks of tent centres).  So the averaging identity
+the measure of S inside each reflected arc, which the overlap kernel
+:func:`overlap_sums` reads at every breakpoint from one sort of the endpoints.
+A4's quadratic ramps take the same copy terms, :func:`_copy_sums`, from sums
+binned on its axes.  So the averaging identity
 
     integral of f over the circle  =  measure(S)^2
 
@@ -123,61 +124,64 @@ def _merge(pieces: Iterable[tuple[float, float]], need: int = 1) -> tuple[tuple[
 
 
 def _prefix_sums(x: np.ndarray) -> np.ndarray:
-    """[0, x0, x0 + x1, ..., sum(x)], rounding O(sqrt(n)) additions deep, not O(n).
+    """[0, x0, x0 + x1, ..., sum(x)] along the last axis, rounding O(sqrt(n)) additions deep.
 
     A plain running sum of n terms can drift by n roundings (it does for a
     million Simpson weights), so the terms are summed in blocks of about
-    sqrt(n) and the block totals are added on afterwards.
+    sqrt(n) and the block totals are added on afterwards.  Each row of a 2-D
+    ``x`` is summed on its own.
     """
-    n = len(x)
+    *rows_of, n = x.shape
     b = max(1, math.isqrt(n))
     rows = -(-n // b)
-    out = np.zeros(rows * b + 1)
-    out[1 : n + 1] = x
-    blocks = out[1:].reshape(rows, b)
-    np.cumsum(blocks, axis=1, out=blocks)
-    blocks[1:] += np.cumsum(blocks[:-1, -1])[:, None]
-    return out[: n + 1]
+    out = np.zeros((*rows_of, rows * b + 1))
+    out[..., 1 : n + 1] = x
+    blocks = out[..., 1:].reshape(*rows_of, rows, b)
+    np.cumsum(blocks, axis=-1, out=blocks)
+    blocks[..., 1:, :] += np.cumsum(blocks[..., :-1, -1], axis=-1)[..., None]
+    return out[..., : n + 1]
 
 
-def overlap_sums(points: np.ndarray, weights: np.ndarray, g: np.ndarray, shifts: np.ndarray, coefs,
-                 degree: int = 1) -> np.ndarray:
-    """sum_j coefs_j * Q(g + shifts_j) at every g, for Q(y) = sum_l w_l * (y - x_l)_+^d / d!.
+def _copy_sums(c, w, m) -> list:
+    """S_p = sum of w * x^p over the copies x + j of points x in [0, 1] below y, for p < len(c).
 
-    The ramp degree d is 1 or 2.  Q sums over the copies x_l + m of the points
-    x_l in [0, 1], counted from the start of copy 0 (negatively below 0), so on
-    [0, 1) Q sums the points below y.  With S_p summing w * x^p over the copies
-    below y, Q is y S_0 - S_1 or (y^2 S_0 - 2 y S_1 + S_2) / 2.  The points are
-    sorted once (stable, quick on presorted runs such as the A4 centres) and
-    each S_p read from their prefix sums and totals.  The ramps take as many
-    shifts at a time as make ``BLOCK`` values.  Q is linear in the weights, so
-    a caller with more points than fit in cache adds up the sums of its blocks.
+    m = floor(y) is the copy that holds y, c_p sums w * x^p over the points of
+    copy 0 below y - m and w_p over all of them.  Copy j adds j to every point,
+    and a copy below 0 counts negatively, so S_p is c_p plus m-terms in the
+    lower sums and totals.
     """
-    if degree not in (1, 2):
-        raise ValueError(f"ramp degree must be 1 or 2, got {degree}")
+    s = [c[0] + m * w[0], c[1] + m * c[0] + m * w[1] + 0.5 * m * (m - 1.0) * w[0]]
+    if len(c) > 2:
+        s.append(c[2] + m * (2.0 * c[1] + m * c[0]) + m * w[2]
+                 + m * (m - 1.0) * (w[1] + (2.0 * m - 1.0) / 6.0 * w[0]))
+    return s
+
+
+def overlap_sums(points: np.ndarray, weights: np.ndarray, g: np.ndarray, shifts: np.ndarray,
+                 coefs) -> np.ndarray:
+    """sum_j coefs_j * Q(g + shifts_j) at every g, for the ramps Q(y) = sum_l w_l * (y - x_l)_+.
+
+    Q sums over the copies x_l + m of the points x_l in [0, 1], counted from
+    the start of copy 0 (negatively below 0), so on [0, 1) Q sums the points
+    below y: Q = y S_0 - S_1, with S_p from :func:`_copy_sums`.  The points are
+    sorted once (stable) and each S_p read from their prefix sums and totals.
+    The ramps take as many shifts at a time as make ``BLOCK / 4`` values: with
+    ``BLOCK`` the dozen temporaries of a chunk, about 1.3 MB, went back to the
+    system and were faulted in again at every call; a quarter stays in the heap.
+    """
     order = np.argsort(points, kind="stable")
     x, wx = points[order], weights[order]
-    cum = [_prefix_sums(wx)]  # cum[p] sums w * x^p over copy 0
-    for _ in range(degree):
-        wx *= x
-        cum.append(_prefix_sums(wx))
-    w0, w1 = cum[0][-1], cum[1][-1]
-    step = max(1, BLOCK // len(g))
+    c0 = _prefix_sums(wx)
+    c1 = _prefix_sums(wx * x)
+    totals = (c0[-1], c1[-1])
+    step = max(1, BLOCK // 4 // len(g))
     out = np.zeros(len(g))
     for i in range(0, len(shifts), step):
         y = g + shifts[i : i + step, None]
         m = np.floor(y)  # the copy that holds y; copy j adds j to every point
         k = np.searchsorted(x, y - m, side="right")
-        c0, c1 = cum[0][k], cum[1][k]
-        s0 = c0 + m * w0
-        s1 = c1 + m * c0 + m * w1 + 0.5 * m * (m - 1.0) * w0
-        if degree == 1:
-            ramps = y * s0 - s1
-        else:
-            s2 = (cum[2][k] + m * (2.0 * c1 + m * c0) + m * cum[2][-1]
-                  + m * (m - 1.0) * (w1 + (2.0 * m - 1.0) / 6.0 * w0))
-            ramps = 0.5 * y * (y * s0 - 2.0 * s1) + 0.5 * s2
-        for coef, ramp in zip(coefs[i : i + step], ramps):
+        s0, s1 = _copy_sums((c0[k], c1[k]), totals, m)
+        for coef, ramp in zip(coefs[i : i + step], y * s0 - s1):
             out += coef * ramp
     return out
 
@@ -368,7 +372,7 @@ def arc_reflection_overlap_into(
     overlap of the arc [start, start + length) at axis g is then
     max(0, |((g + neg_base) mod 1) - 1/2| + length - 1/2).  Nothing in the
     package calls it: the tests sum it over every fiber of the Simpson t-rule
-    oracle, at every axis, as the reference for the degree-1 ramps of
+    oracle, at every axis, as the reference for the ramps of
     :func:`overlap_sums`, and the benchmark's tracer wraps it by name.
     """
     if length > 0.5:

@@ -28,18 +28,37 @@ DISK_RADIUS = 1.0 / math.sqrt(math.pi)  # radius of the unit-area disk
 MAX_PARTS = 1_000
 
 
+#: Characters of a refused value that an error message repeats.
+SHOWN_CHARS = 40
+
+
+def _shown(value) -> str:
+    """A refused value for an error message: a long integer by its digit count, else cut short."""
+    if isinstance(value, Integral) and not isinstance(value, bool) and abs(int(value)) >= 10**SHOWN_CHARS:
+        n = abs(int(value))
+        digits = int((n.bit_length() - 1) * math.log10(2.0)) + 1  # the digits of 2^(bits - 1)
+        digits += n >= 10**digits
+        return f"an integer of {digits} digits"
+    text = str(value)
+    return text if len(text) <= SHOWN_CHARS else text[: SHOWN_CHARS - 3] + "..."
+
+
 def finite(name: str, value) -> float:
-    """``value`` as a float; a bool, a non-number, NaN or an infinity raises ValueError."""
+    """``value`` as a float; a bool, a non-number, NaN, an infinity or a too large integer raises ValueError."""
     # float first: arc algebra builds many arcs, and the Real check alone costs about 1 us
-    if isinstance(value, bool) or not isinstance(value, (float, Real)) or not math.isfinite(value):
-        raise ValueError(f"{name} must be a finite number, got {value}")
+    try:
+        ok = not isinstance(value, bool) and isinstance(value, (float, Real)) and math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        ok = False
+    if not ok:
+        raise ValueError(f"{name} must be a finite number, got {_shown(value)}")
     return float(value)
 
 
 def integer(name: str, value, lo: int, hi: float) -> int:
     """``value`` as an int in [lo, hi]; a bool, a non-integer or a value outside raises ValueError."""
     if isinstance(value, bool) or not isinstance(value, (int, Integral)) or not lo <= value <= hi:
-        raise ValueError(f"{name} must be an integer in [{lo}, {hi}], got {value}")
+        raise ValueError(f"{name} must be an integer in [{lo}, {hi}], got {_shown(value)}")
     return int(value)
 
 

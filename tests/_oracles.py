@@ -16,10 +16,10 @@ independently: max |f - 1/4| <= sup |rho| / 2 with rho(t) = alpha(t + 1/4) -
 alpha(t) - 1/2, whose sup over [0, 1/4] is read from alpha alone.  Radial
 crossing counts are sampled radius by radius, where the library reads their
 range from the closed form parts * turns / 2.  The library's A4
-adds up the overlap kernel's values over blocks of knots; the one-pass
-kernel and A4 profile that this replaced, one sort over every point, are kept
-here as references that it must match bit for bit in one block and to
-rounding beyond.  A profile that
+sums the knots' moments on the cells between its axes and reads the ramps
+once; the one-pass kernel and A4 profile that this replaced, one sort over
+every point and degree-2 ramps at every axis, are kept here as references
+that it must match to rounding, 1e-14 max(1, sum |D_i|).  A profile that
 is linear between its seams walks only those; the one-pass profile over the
 knots of ``--v-quad``, the path it replaced there, must match it to rounding.
 """

@@ -134,6 +134,20 @@ def test_work_size_over_cap_exits_two(argv, limit, capsys):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error:") and str(limit) in captured.err
+    # the message gives the bounds, and a 401-digit value by its digit count
+    assert len(captured.err) < 120, captured.err
+
+
+def test_verify_huge_integer_in_sample_table_exits_two(tmp_path, capsys):
+    # an integer beyond the float range made math.isfinite raise OverflowError: a traceback
+    table = tmp_path / "huge.json"
+    table.write_text("[[0.1, 0.2], [1" + "0" * 400 + ", 1.0]]")
+    code = run(["verify", "--family", "custom", "--samples", str(table), *FAST_VERIFY])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == ("error: sample table entry 1 must be a finite number, "
+                            "got an integer of 401 digits\n")
 
 
 def test_verify_a_t_rule_too_coarse_for_a4_exits_two(capsys):
