@@ -17,8 +17,9 @@ sums of arc endpoints (mod 1).  It is sum_k sigma_k M(g - e_k) over the
 endpoints e_k (sigma_k = +1 at a start, -1 at an end) of M(y) = integral_0^y 1_S:
 the measure of S inside each reflected arc, which the overlap kernel
 :func:`overlap_sums` reads at every breakpoint from one sort of the endpoints.
-A4's quadratic ramps take the same copy terms, :func:`_copy_sums`, from sums
-binned on its axes.  So the averaging identity
+A4's quadratic ramps read sums binned on its axes.  Both take the sums below a
+point, copy terms included, by one path, :func:`_sums_below`.  So the averaging
+identity
 
     integral of f over the circle  =  measure(S)^2
 
@@ -142,16 +143,19 @@ def _prefix_sums(x: np.ndarray) -> np.ndarray:
     return out[..., : n + 1]
 
 
-def _copy_sums(c, w, m) -> list:
-    """S_p = sum of w * x^p over the copies x + j of points x in [0, 1] below y, for p < len(c).
+def _sums_below(x: np.ndarray, sums: np.ndarray, y: np.ndarray) -> list:
+    """S_p = sum of w * x^p over the copies x + j of sorted points x in [0, 1] below y.
 
-    m = floor(y) is the copy that holds y, c_p sums w * x^p over the points of
-    copy 0 below y - m and w_p over all of them.  Copy j adds j to every point,
-    and a copy below 0 counts negatively, so S_p is c_p plus m-terms in the
-    lower sums and totals.
+    Row p of ``sums`` holds the prefix sums of w * x^p over the points, totals
+    last, for p < 3.  m = floor(y) is the copy that holds y, and copy 0 adds the
+    points at or below y - m.  Copy j adds j to every point, and a copy below 0
+    counts negatively, so S_p is copy 0's sum plus m-terms in the lower sums and
+    the totals.
     """
+    m = np.floor(y)
+    c, w = np.take(sums, np.searchsorted(x, y - m, side="right"), axis=1), sums[:, -1]
     s = [c[0] + m * w[0], c[1] + m * c[0] + m * w[1] + 0.5 * m * (m - 1.0) * w[0]]
-    if len(c) > 2:
+    if len(sums) > 2:
         s.append(c[2] + m * (2.0 * c[1] + m * c[0]) + m * w[2]
                  + m * (m - 1.0) * (w[1] + (2.0 * m - 1.0) / 6.0 * w[0]))
     return s
@@ -163,24 +167,20 @@ def overlap_sums(points: np.ndarray, weights: np.ndarray, g: np.ndarray, shifts:
 
     Q sums over the copies x_l + m of the points x_l in [0, 1], counted from
     the start of copy 0 (negatively below 0), so on [0, 1) Q sums the points
-    below y: Q = y S_0 - S_1, with S_p from :func:`_copy_sums`.  The points are
-    sorted once (stable) and each S_p read from their prefix sums and totals.
+    below y: Q = y S_0 - S_1, with S_p from :func:`_sums_below`.  The points are
+    sorted once (stable) and prefix-summed once.
     The ramps take as many shifts at a time as make ``BLOCK / 4`` values: with
     ``BLOCK`` the dozen temporaries of a chunk, about 1.3 MB, went back to the
     system and were faulted in again at every call; a quarter stays in the heap.
     """
     order = np.argsort(points, kind="stable")
     x, wx = points[order], weights[order]
-    c0 = _prefix_sums(wx)
-    c1 = _prefix_sums(wx * x)
-    totals = (c0[-1], c1[-1])
+    sums = _prefix_sums(np.stack((wx, wx * x)))
     step = max(1, BLOCK // 4 // len(g))
     out = np.zeros(len(g))
     for i in range(0, len(shifts), step):
         y = g + shifts[i : i + step, None]
-        m = np.floor(y)  # the copy that holds y; copy j adds j to every point
-        k = np.searchsorted(x, y - m, side="right")
-        s0, s1 = _copy_sums((c0[k], c1[k]), totals, m)
+        s0, s1 = _sums_below(x, sums, y)
         for coef, ramp in zip(coefs[i : i + step], y * s0 - s1):
             out += coef * ramp
     return out

@@ -33,13 +33,13 @@ MAX_RENDER_STEPS = 2 * MAX_SPIRAL_STEPS
 
 def spiral_steps(interpol: float) -> int:
     """Sampling steps of the spiral at step ``interpol``; above MAX_SPIRAL_STEPS is an error."""
-    steps = int(math.floor(1.0 / interpol + 1e-9))
-    if steps > MAX_SPIRAL_STEPS:
+    steps = 1.0 / interpol + 1e-9  # inf for a subnormal step
+    if not steps < MAX_SPIRAL_STEPS + 1:
         raise ValueError(
             f"sampling step {interpol:g} needs more than "
             f"MAX_SPIRAL_STEPS = {MAX_SPIRAL_STEPS} spiral steps; raise interpol or lower turn"
         )
-    return steps
+    return int(math.floor(steps))
 
 
 def default_interpol(turn: float) -> float:
@@ -71,6 +71,14 @@ class RenderConfig:
         object.__setattr__(self, "parts", integer("parts", self.parts, 2, MAX_PARTS))
         if not isinstance(self.clockwise, bool):
             raise ValueError(f"clockwise must be true or false, got {self.clockwise}")
+        # finite values can overflow: a turn the rotation (and 16 * turn the default step)
+        if not math.isfinite(self.angle_deg):
+            raise ValueError(f"turn = {self.turn:g} and rotate_deg = {self.rotate_deg:g} overflow "
+                             f"the symbol's rotation (0.5 - turn) * 180 + rotate_deg")
+        if not math.isfinite(self.size_px):
+            raise ValueError(f"radius_px = {self.radius_px:g} and stroke_width_px = "
+                             f"{self.stroke_width_px:g} overflow the canvas size "
+                             f"2 * (1.05 * radius_px + stroke_width_px)")
         steps = spiral_steps(self.effective_interpol)
         if steps * self.parts > MAX_RENDER_STEPS:
             raise ValueError(
@@ -86,6 +94,16 @@ class RenderConfig:
     @property
     def effective_interpol(self) -> float:
         return self.interpol if self.interpol is not None else default_interpol(self.turn)
+
+    @property
+    def angle_deg(self) -> float:
+        """Rotation of the whole symbol, in degrees."""
+        return (0.5 - self.turn) * 180.0 + self.rotate_deg
+
+    @property
+    def size_px(self) -> float:
+        """Width and height of the square canvas: the disk, a 5% margin and the stroke."""
+        return 2.0 * (self.radius_px + (0.05 * self.radius_px + self.stroke_width_px))
 
     def to_json(self) -> dict:
         return {**asdict(self), "dark": list(self.dark)}
@@ -225,10 +243,7 @@ def render(config: RenderConfig) -> SvgDocument:
     """
     radius = config.radius_px
     interpol = config.effective_interpol
-    transform = _SymbolTransform(
-        angle_deg=(0.5 - config.turn) * 180.0 + config.rotate_deg,
-        mirror=not config.clockwise,
-    )
+    transform = _SymbolTransform(angle_deg=config.angle_deg, mirror=not config.clockwise)
     base = _dedupe(spiral_points(config.turn, interpol)) * radius
     branch_angle = 360.0 / config.parts
     branches = []
@@ -274,9 +289,7 @@ def render(config: RenderConfig) -> SvgDocument:
         f'stroke-width="{_fmt(config.stroke_width_px)}"/>'
     )
 
-    pad = 0.05 * radius + config.stroke_width_px
-    size = 2.0 * (radius + pad)
-    return SvgDocument(width=size, height=size, elements=tuple(elements))
+    return SvgDocument(width=config.size_px, height=config.size_px, elements=tuple(elements))
 
 
 RENDER_PRESETS: dict[str, RenderConfig] = {

@@ -20,9 +20,10 @@ whose tent centres are explicit in t, so no inverse is needed.
 alpha on knots in t that hold every seam: each segment adds a difference of
 the tent's antiderivative, so f is a second difference of quadratic ramps in
 g.  Those ramps need only the sums of D, D c and D c^2 (slope jumps D, tent
-centres c) over the centres below each of the 3G points g and g +- L mod 1,
-so blocks of knots are binned on the cells between those points and the
-ramps are read once, after the last knot.  Where alpha is linear between seams
+centres c) over the centres below each of the 3G points g and g +- L mod 1.
+Every knot set, three knots or two million, takes one path: its blocks of
+knots are binned on the cells between those points, and the ramps are read
+once, after the last knot.  Where alpha is linear between seams
 (``linear_pieces``: fermat, tables) it walks only those.
 ``monte_carlo_overlap`` estimates the same quantity by throwing uniform points
 at the cylinder, an independent check on that path.  Both walk their input in
@@ -67,7 +68,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import __version__
-from .circle_sets import BLOCK, MAX_Q, _copy_sums, _prefix_sums
+from .circle_sets import BLOCK, MAX_Q, _prefix_sums, _sums_below
 from .curves import AlphaProfile, CurveSpec, Table, branch_polylines, polyline_turning_angles
 from .geometry import finite, integer, mod1
 
@@ -163,17 +164,16 @@ def perfect_profile(
     quadratic ramp Q(y) = (y - c)_+^2 / 2, summed over the copies c + j of the
     centres, is P(g - c) + L^2 (1/2 + g - c).  And Q(y) = (y^2 S_0 - 2 y S_1 + S_2) / 2,
     where S_p sums D c^p over the copies below y: the sums over the centres at
-    or below y mod 1 plus the copy terms of ``circle_sets._copy_sums``.  So the
-    3G points y mod 1 cut [0, 1) into 3G + 1 cells.  Each block of ``BLOCK``
-    knots sorts its centres, finds each cell's first centre and adds the sums
-    of D, D c and D c^2 over each cell into one (3, 3G + 1) array.  When one
-    block holds every knot, as for fermat and tables, its sorted centres are
-    the cells and nothing is binned.  At the end one prefix sum over the
-    occupied cells gives every S_p and, as its totals, sum D and sum D c; the
-    ramps are read once.  That is O((N + G N / BLOCK) log BLOCK + G log G) time
-    and O(BLOCK + G) memory.  A profile with ``linear_pieces`` is also its
-    interpolant on ``profile_knots(profile, 2)``, its seams (and a midpoint
-    when there are two): N counts those, and ``v_nodes`` the knots of
+    or below y mod 1 plus the copy terms, both read by ``circle_sets._sums_below``.
+    So the 3G points y mod 1 cut [0, 1) into 3G + 1 cells, and every knot count
+    takes one path: each block of ``BLOCK`` knots sorts its centres, finds each
+    cell's first centre and adds the sums of D, D c and D c^2 over each cell
+    into one (3, 3G + 1) array.  At the end one prefix sum over the cells that
+    hold a nonzero sum gives every S_p and, as its totals, sum D and sum D c;
+    the ramps are read once.  That is O((N + G ceil(N / BLOCK)) log BLOCK
+    + G log G) time and O(BLOCK + G) memory.  A profile with ``linear_pieces``
+    is also its interpolant on ``profile_knots(profile, 2)``, its seams (and a
+    midpoint when there are two): N counts those, and ``v_nodes`` the knots of
     ``v_quadrature``.
     """
     g_grid = integer("reflection axes g_grid", g_grid, 2, MAX_G_GRID)
@@ -185,12 +185,9 @@ def perfect_profile(
     target = length * length
     g_values = np.arange(g_grid) / g_grid
     y = g_values + np.array([[length], [0.0], [-length]])  # the ramps' arguments
-    queries = (y - np.floor(y)).ravel()  # y in copy 0
-    if n > BLOCK:  # the blocks share cells: cell j holds the centres in (edges[j], edges[j + 1]]
-        edges = np.concatenate(([-1.0], queries, [2.0]))
-        edges[1:-1].sort(kind="stable")
-        moments = np.zeros((3, len(edges) - 1))  # row p: sum of D c^p over each cell
-        occupied = np.zeros(len(edges) - 1, dtype=bool)
+    # cell j holds the centres in (edges[j], edges[j + 1]]; y mod 1 is five sorted runs
+    edges = np.concatenate(([-1.0], np.sort((y - np.floor(y)).ravel(), kind="stable"), [2.0]))
+    moments = np.zeros((3, len(edges) - 1))  # row p: sum of D c^p over each cell
     buffer = np.empty((3, min(n, BLOCK)))  # D, D c, D c^2 of a block's sorted centres
     rise = 0.0  # alpha_N - alpha_0
     for lo in range(0, n, BLOCK):
@@ -208,25 +205,16 @@ def perfect_profile(
         np.take(jumps, sort, out=terms[0])
         np.multiply(terms[0], x, out=terms[1])
         np.multiply(terms[1], x, out=terms[2])
-        if n <= BLOCK:  # one block: each centre is a cell of its own
-            moments, upper = terms, x
-        else:  # find each cell's first centre; reduceat would repeat a value for an empty cell
-            bounds = np.searchsorted(x, edges, side="right")
-            cell = np.flatnonzero(bounds[:-1] < bounds[1:])
-            np.add.at(moments, (slice(None), cell), np.add.reduceat(terms, bounds[cell], axis=1))
-            occupied[cell] = True
-    if n > BLOCK:
-        cells = np.flatnonzero(occupied)
-        moments, upper = moments[:, cells], edges[1:][cells]
-    sums = _prefix_sums(moments)
-    del moments  # up to 3 x (3G + 1) cell sums, 4.7 MB at the largest grid
+        # find each cell's first centre; reduceat would repeat a value for an empty cell
+        bounds = np.searchsorted(x, edges, side="right")
+        cell = np.flatnonzero(bounds[:-1] < bounds[1:])
+        moments[:, cell] += np.add.reduceat(terms, bounds[cell], axis=1)
+    cells = np.flatnonzero(moments.any(axis=0))
+    sums = _prefix_sums(moments[:, cells])
+    del moments  # 3 x (3G + 1) cell sums, 4.7 MB at the largest grid
     totals = sums[:, -1]  # sum D, sum D c, sum D c^2
-    # a query sees the cells whose upper edge it reaches: S_p in copy 0, then the copies
-    s = np.take(sums, np.searchsorted(upper, queries, side="right"), axis=1).reshape(3, *y.shape)
-    # g + L lies in copy 1 from g = 1 - L on, and g - L in copy -1 below g = L
-    up, down = np.searchsorted(y[0], 1.0), np.searchsorted(y[2], 0.0)
-    s[:, 0, up:] = _copy_sums(s[:, 0, up:], totals, 1.0)
-    s[:, 2, :down] = _copy_sums(s[:, 2, :down], totals, -1.0)
+    # a ramp sees the cells whose upper edge y mod 1 reaches, then the copy terms
+    s = _sums_below(edges[1:][cells], sums, y)
     ramps = 0.5 * y * (y * s[0] - 2.0 * s[1]) + 0.5 * s[2]
     f = ramps[0] - 2.0 * ramps[1] + ramps[2]
     f += target * (rise + totals[1] - (0.5 + g_values) * totals[0])

@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from yinyang.circle_sets import EPS, MAX_Q, Arc, CircleSet, arc_reflection_overlap_into
+from yinyang.circle_sets import (
+    EPS,
+    MAX_Q,
+    Arc,
+    CircleSet,
+    _prefix_sums,
+    _sums_below,
+    arc_reflection_overlap_into,
+)
 
 from _oracles import (
     arc_reflection_overlap,
@@ -249,6 +257,32 @@ def test_overlaps_equal_the_one_pass_kernel_bit_for_bit(s, g):
     one_pass = one_pass_overlap_sums(ends, signs, np.array(prof.breakpoints), -ends, signs)
     assert prof.values == tuple(one_pass.tolist())
     assert s.reflection_overlap(g) == one_pass_overlap_sums(ends, signs, np.array([g]), -ends, signs)[0]
+
+
+def _brute_sums_below(x, w, y, p):
+    """sum of w * (x + j)^p over the copies x + j at or below y, counted from the start of
+    copy 0: the copies 0 .. floor(y) add their points, the copies below 0 subtract theirs."""
+    m = math.floor(y)
+    terms = [wl * (xl + j) ** p if j >= 0 else -wl * (xl + j) ** p
+             for j in range(min(m, 0), max(m, -1) + 1) for xl, wl in zip(x, w)
+             if (xl + j <= y) == (j >= 0)]
+    return math.fsum(terms), math.fsum(abs(t) for t in terms)
+
+
+@pytest.mark.parametrize("rows", [2, 3])
+def test_sums_below_match_a_sum_over_the_copies(rows):
+    # y in [-2, 3) reaches the copies -2 .. 2; the points hold both ends of [0, 1]
+    rng = np.random.RandomState(3)
+    x = np.sort(np.concatenate(([0.0, 1.0], rng.uniform(0.0, 1.0, 40))))
+    w = rng.uniform(-1.0, 1.0, len(x))
+    sums = _prefix_sums(np.stack([w * x**p for p in range(rows)]))
+    y = np.concatenate((np.arange(-2.0, 3.0, 0.25), rng.uniform(-2.0, 3.0, 200)))
+    got = _sums_below(x, sums, y)
+    assert len(got) == rows
+    for p in range(rows):
+        for yi, s in zip(y, got[p]):
+            want, scale = _brute_sums_below(x, w, yi, p)
+            assert abs(s - want) <= 1e-13 * max(1.0, scale), (p, yi)
 
 
 def test_overlap_profile_memory_does_not_grow_with_ends_times_breakpoints():

@@ -255,6 +255,11 @@ def test_render_overrides_and_config(tmp_path):
         ("--turn", "inf", "turn"),
         ("--interpol", "nan", "interpol"),
         ("--interpol", "5e-6", "MAX_SPIRAL_STEPS"),
+        # finite values whose geometry overflows a float
+        ("--turn", "1e308", "turn = 1e+308"),
+        ("--interpol", "1e-320", "sampling step 9.99989e-321"),
+        ("--radius", "1e308", "radius_px = 1e+308"),
+        ("--stroke-width", "1e308", "stroke_width_px = 1e+308"),
     ],
 )
 def test_render_bad_number_exits_two(flag, value, field, tmp_path, capsys):

@@ -393,9 +393,9 @@ def _rounding_bound(spec, knots):
 
 @pytest.mark.parametrize("spec", BLOCK_SPECS, ids=lambda s: _spec_id(s) + f"-{len(s.samples or ())}")
 def test_knot_blocks_match_the_one_pass_sweep(spec):
-    # in one block the library sums the knots as the one-pass sweep does, but takes sum D
-    # and sum D c from its prefix sums: at most 1.4e-16 apart (ck, k = 0). Beyond BLOCK knots
-    # it sums them by axis cell, so only rounding may move.
+    # at every knot count the library sums the knots by axis cell before one prefix sum,
+    # and takes sum D and sum D c from its totals, where the one-pass sweep prefix-sums
+    # each knot: only rounding may move.
     # fermat and tables walk their seams, the same function as every interpolant on
     # more knots, so against the one-pass sum over those knots only rounding may move
     linear = spec.alpha_profile().linear_pieces
