@@ -156,6 +156,8 @@ def spiral_points(turn: float, interpol: float) -> np.ndarray:
     """
     if not turn > 0:
         raise ValueError(f"turn must be positive, got {turn}")
+    if not math.isfinite(180.0 * turn):
+        raise ValueError(f"turn = {turn:g} overflows the spiral's last angle, 180 * turn degrees")
     if not interpol > 0:
         raise ValueError(f"interpol must be positive, got {interpol}")
     steps = spiral_steps(interpol)

@@ -23,7 +23,10 @@ g.  Those ramps need only the sums of D, D c and D c^2 (slope jumps D, tent
 centres c) over the centres below each of the 3G points g and g +- L mod 1.
 Every knot set, three knots or two million, takes one path: its blocks of
 knots are binned on the cells between those points, and the ramps are read
-once, after the last knot.  Where alpha is linear between seams
+once, after the last knot.  Between two seams the knots are evenly spaced,
+so a block makes them with one multiply-add per piece, the formula np.interp
+applies, bit for bit; its centres rise with t, so only a block in which they
+wrap past 1 sorts them.  Where alpha is linear between seams
 (``linear_pieces``: fermat, tables) it walks only those.
 ``monte_carlo_overlap`` estimates the same quantity by throwing uniform points
 at the cylinder, an independent check on that path.  Both walk their input in
@@ -63,6 +66,7 @@ Relation residuals (ids are the report keys):
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -166,11 +170,16 @@ def perfect_profile(
     where S_p sums D c^p over the copies below y: the sums over the centres at
     or below y mod 1 plus the copy terms, both read by ``circle_sets._sums_below``.
     So the 3G points y mod 1 cut [0, 1) into 3G + 1 cells, and every knot count
-    takes one path: each block of ``BLOCK`` knots sorts its centres, finds each
-    cell's first centre and adds the sums of D, D c and D c^2 over each cell
-    into one (3, 3G + 1) array.  At the end one prefix sum over the cells that
-    hold a nonzero sum gives every S_p and, as its totals, sum D and sum D c;
-    the ramps are read once.  That is O((N + G ceil(N / BLOCK)) log BLOCK
+    takes one path: each block of ``BLOCK`` knots finds each cell's first
+    centre and adds the sums of D, D c and D c^2 over each cell into one
+    (3, 3G + 1) array.  A block makes its knots between seams k and k + 1 as
+    seams[k] + step * (i - index[k]), np.interp's multiply-add, so they and
+    every seam are the knots of ``profile_knots`` bit for bit.  Its centres
+    2 t + L mod 1 are sorted but where they wrap past 1, and only a block in
+    which they wrap sorts them: one of the seven at the defaults.  At the end
+    one prefix sum over the cells that hold a nonzero sum gives every S_p and,
+    as its totals, sum D and sum D c; the ramps are read once, about ``BLOCK``
+    queries at a time.  That is O((N + G ceil(N / BLOCK)) log BLOCK
     + G log G) time and O(BLOCK + G) memory.  A profile with ``linear_pieces``
     is also its interpolant on ``profile_knots(profile, 2)``, its seams (and a
     midpoint when there are two): N counts those, and ``v_nodes`` the knots of
@@ -189,33 +198,61 @@ def perfect_profile(
     edges = np.concatenate(([-1.0], np.sort((y - np.floor(y)).ravel(), kind="stable"), [2.0]))
     moments = np.zeros((3, len(edges) - 1))  # row p: sum of D c^p over each cell
     buffer = np.empty((3, min(n, BLOCK)))  # D, D c, D c^2 of a block's sorted centres
+    knots = np.empty(min(n, BLOCK) + 2)  # a block's knots, one beyond each side
+    slopes = np.zeros(min(n, BLOCK) + 2)  # a block's half slopes, 0 before knot 0 and past the last
+    ends, at = index.tolist(), seams.tolist()
+    wide = [k for k in range(len(ends) - 1) if ends[k + 1] - ends[k] > 1]  # knots between seams
     rise = 0.0  # alpha_N - alpha_0
     for lo in range(0, n, BLOCK):
         first, hi = max(lo - 1, 0), min(lo + BLOCK, n)  # a knot beyond each side for the slopes
-        t = np.interp(np.arange(first, min(hi + 1, n), dtype=float), index, seams)
+        stop = min(hi + 1, n)
+        t = knots[: stop - first]
+        # the seams are knots, and knot i between seams k and k + 1 is the multiply-add
+        # seams[k] + step * (i - index[k]) with np.interp's slope, so bit for bit its value
+        on = slice(bisect_left(ends, first), bisect_left(ends, stop))
+        t[index[on] - first] = seams[on]
+        for k in wide:
+            a, b = max(ends[k] + 1, first), min(ends[k + 1], stop)
+            if a < b:
+                step = (at[k + 1] - at[k]) / (ends[k + 1] - ends[k])
+                piece = t[a - first : b - first]
+                np.multiply(np.arange(a - ends[k], b - ends[k], dtype=float), step, out=piece)
+                piece += at[k]
         alpha = profile.evaluate(t)
         rise += (alpha[-1] if hi == n else 0.0) - (alpha[0] if lo == 0 else 0.0)
-        half_slopes = np.diff(alpha) / (2.0 * np.diff(t))
-        jumps = np.diff(np.concatenate(([0.0] if lo == 0 else [], half_slopes, [0.0] if hi == n else [])))
-        centres = 2.0 * t[lo - first : hi - first] + length
-        centres -= np.floor(centres)  # mod 1, exact for centres >= 0 and faster than np.mod
-        sort = np.argsort(centres, kind="stable")  # quick on the runs between wraps
-        x = centres[sort]
-        terms = buffer[:, : len(x)]
-        np.take(jumps, sort, out=terms[0])
+        # slopes[j] is the half slope of the segment that ends at knot lo + j
+        end = len(t) - (lo > 0)
+        np.divide(np.diff(alpha), 2.0 * np.diff(t), out=slopes[int(lo == 0) : end])
+        if hi == n:
+            slopes[end] = 0.0
+        terms = buffer[:, : hi - lo]
+        np.subtract(slopes[1 : hi - lo + 1], slopes[: hi - lo], out=terms[0])  # the jumps D
+        x = 2.0 * t[lo - first : hi - first] + length
+        x -= np.floor(x)  # mod 1, exact for centres >= 0 and faster than np.mod
+        if np.any(x[1:] < x[:-1]):  # sorted but where the centres wrap past 1
+            sort = np.argsort(x, kind="stable")
+            x, terms[0] = x[sort], terms[0][sort]
         np.multiply(terms[0], x, out=terms[1])
         np.multiply(terms[1], x, out=terms[2])
         # find each cell's first centre; reduceat would repeat a value for an empty cell
         bounds = np.searchsorted(x, edges, side="right")
         cell = np.flatnonzero(bounds[:-1] < bounds[1:])
         moments[:, cell] += np.add.reduceat(terms, bounds[cell], axis=1)
-    cells = np.flatnonzero(moments.any(axis=0))
-    sums = _prefix_sums(moments[:, cells])
-    del moments  # 3 x (3G + 1) cell sums, 4.7 MB at the largest grid
+    occupied = moments.any(axis=0)
+    moments = moments[:, occupied]
+    x = edges[1:][occupied]  # a ramp sees the cells whose upper edge y mod 1 reaches
+    del bounds, cell, edges  # the last block's bounds and the edges are 1.5 MB each at G = 65 536
+    sums = _prefix_sums(moments)
+    del moments  # 3 x (3G + 1) cell sums, 4.7 MB
     totals = sums[:, -1]  # sum D, sum D c, sum D c^2
-    # a ramp sees the cells whose upper edge y mod 1 reaches, then the copy terms
-    s = _sums_below(edges[1:][cells], sums, y)
-    ramps = 0.5 * y * (y * s[0] - 2.0 * s[1]) + 0.5 * s[2]
+    # S_p from the cells' sums and the copy terms; rows of y go about BLOCK values at a
+    # time, so the largest grid holds one row's per-query sums
+    ramps = np.empty_like(y)
+    rows = max(1, BLOCK // g_grid)
+    for i in range(0, len(y), rows):
+        q = y[i : i + rows]
+        s = _sums_below(x, sums, q)
+        ramps[i : i + rows] = 0.5 * q * (q * s[0] - 2.0 * s[1]) + 0.5 * s[2]
     f = ramps[0] - 2.0 * ramps[1] + ramps[2]
     f += target * (rise + totals[1] - (0.5 + g_values) * totals[0])
     dev = np.abs(f - target)

@@ -1,11 +1,13 @@
-"""Property test over generated argv for every ``yy`` subcommand.
+"""Property tests over generated argv for every ``yy`` subcommand, and of the report encoder.
 
 Flag values come from three pools: valid ranges with small work sizes,
 boundary values (0, negatives, NaN, infinities, 1e300, one above each cap),
 and malformed ``--samples`` or ``--config`` files.  Whatever the argv, ``run``
 returns 0, 1 or 2 without raising; exit 2 leaves stdout empty and puts a
 message starting with ``error:`` on stderr; reports are strict JSON and every
-SVG written parses as XML.
+SVG written parses as XML.  The report encoder writes what
+``json.dumps(doc, indent=2, allow_nan=False)`` writes, byte for byte, on
+generated documents, and refuses NaN and the infinities with its message.
 """
 
 import json
@@ -15,10 +17,11 @@ import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from yinyang.cli import run
+from yinyang.cli import _dumps, run
 from yinyang.curves import FAMILIES, MAX_TURNS
 from yinyang.geometry import MAX_PARTS
 from yinyang.render import RENDER_PRESETS
@@ -187,3 +190,58 @@ def test_any_argv_exits_cleanly(argv, inputs, capsys):
             _strict_json(captured.out)
         for svg in Path(out_dir).glob("*.svg"):
             ET.fromstring(svg.read_text())
+
+
+# -- the report encoder against json.dumps -----------------------------------------
+
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308, 0.1, 1e16, 1e-7]
+FINITE_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from(SPECIAL_FLOATS),
+    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+)
+TEXT = st.text(st.characters(exclude_categories=()) | st.sampled_from("\x00\x1f\x7f\"\\/\n\ud7ff\U0001f600"))
+KEYS = st.one_of(TEXT, st.integers(), FINITE_FLOATS, st.booleans(), st.none())
+SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), FINITE_FLOATS, TEXT)
+
+
+def _containers(children):
+    return st.one_of(
+        st.lists(children, max_size=6),
+        st.lists(children, max_size=6).map(tuple),
+        st.lists(FINITE_FLOATS, max_size=12),  # the shape of a profile's values
+        st.dictionaries(KEYS, children, max_size=6),
+    )
+
+
+DOCUMENTS = st.recursive(SCALARS, _containers, max_leaves=40)
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf, np.float64(math.nan), np.float64(-math.inf)])
+
+
+def _holding(value):
+    """Documents with ``value`` somewhere inside: at the top, in a list among others, or as a dict value."""
+    def wrap(inner):
+        return st.one_of(
+            st.tuples(st.lists(DOCUMENTS, max_size=3), inner, st.lists(DOCUMENTS, max_size=3))
+            .map(lambda t: t[0] + [t[1]] + t[2]),
+            st.tuples(st.lists(FINITE_FLOATS, max_size=5), inner).map(lambda t: t[0] + [t[1]]),
+            st.tuples(st.dictionaries(TEXT, DOCUMENTS, max_size=3), TEXT, inner)
+            .map(lambda t: {**t[0], t[1]: t[2]}),
+        )
+    return st.recursive(value, wrap, max_leaves=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=DOCUMENTS)
+def test_report_encoder_writes_json_dumps_bytes(doc):
+    assert _dumps(doc) == json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(doc=_holding(NON_FINITE))
+def test_report_encoder_refuses_nan_and_infinities_anywhere(doc):
+    with pytest.raises(ValueError) as json_error:
+        json.dumps(doc, indent=2, allow_nan=False)
+    with pytest.raises(ValueError) as error:
+        _dumps(doc)
+    assert str(error.value) == str(json_error.value)

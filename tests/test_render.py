@@ -70,6 +70,15 @@ def test_spiral_points_validation():
         spiral_points(1.0, 0.0)
 
 
+@pytest.mark.parametrize("turn", [1e308, 1e307, math.inf])
+def test_spiral_points_refuses_a_turn_whose_angles_overflow(turn):
+    # 180 * turn degrees is the last angle; past the largest float cos(inf) was a bare
+    # "math domain error" that named no parameter
+    with pytest.raises(ValueError, match="turn"):
+        spiral_points(turn, 1.0 / 16.0)
+    assert len(spiral_points(1e306 / 2.0, 1.0 / 16.0)) == 19
+
+
 # -- documents -----------------------------------------------------------------
 
 

@@ -523,6 +523,68 @@ def test_seams_and_table_knots_on_block_edges(block, monkeypatch):
         assert np.max(np.abs(values - one_pass_profile_values(spec, 64, 225))) <= 1e-14, _spec_id(spec)
 
 
+def _evaluated_knots(spec, monkeypatch, **kwargs):
+    """The knots ``perfect_profile`` evaluates alpha at, one array per block, and its profile."""
+    profile = spec.alpha_profile()
+    blocks = []
+    alpha = type(profile)._alpha
+    monkeypatch.setattr(type(profile), "_alpha", lambda self, u: blocks.append(u.copy()) or alpha(self, u))
+    return blocks, perfect_profile(spec, g_grid=64, **kwargs)
+
+
+@pytest.mark.parametrize("knots", [101, 2001, BLOCK - 1, BLOCK + 2, 2 * BLOCK + 1, 32_767, V_QUADRATURE])
+@pytest.mark.parametrize("spec", [CurveSpec(family="sine", lam=0.1), CurveSpec(family="ck", lam=7.99, k=0)],
+                         ids=_spec_id)
+def test_block_knots_are_the_interpolated_knots(spec, knots, monkeypatch):
+    # each block makes its knots by a multiply-add on its piece; they are np.interp's knots
+    # bit for bit, every seam is one, and the last is domain_end exactly.  Block b > 0
+    # starts one knot before b * BLOCK, where block b - 1 ends one knot after it
+    blocks, _ = _evaluated_knots(spec, monkeypatch, v_quadrature=knots)
+    t = np.concatenate([blocks[0]] + [b[2:] for b in blocks[1:]])
+    profile = spec.alpha_profile()
+    assert t[-1] == profile.domain_end
+    assert np.all(np.isin(profile.seams(), t))
+    assert np.array_equal(t, profile_knots(profile, knots))
+
+
+@pytest.mark.parametrize("knots", [32_767, 32_769])
+def test_ck_blocks_that_end_or_start_on_the_quarter_seam(knots, monkeypatch):
+    # the seam t = 1/4 is knot (knots - 1) / 2: at 32 767 knots the last of the first
+    # block, whose slopes reach one knot past it; at 32 769 the first of the second
+    spec = CurveSpec(family="ck", lam=7.99, k=0)
+    seam = (knots - 1) // 2
+    assert profile_knots(spec.alpha_profile(), knots)[seam] == 0.25 and seam in (BLOCK - 1, BLOCK)
+    blocks, prof = _evaluated_knots(spec, monkeypatch, v_quadrature=knots)
+    assert (blocks[0][-1] == 0.25) == (seam == BLOCK) and (blocks[0][-2] == 0.25) == (seam == BLOCK - 1)
+    assert np.max(np.abs(prof.values - one_pass_profile_values(spec, 64, knots))) <= 1e-14
+
+
+@pytest.mark.parametrize("block, knots", [(7, 2005), (BLOCK, V_QUADRATURE + 1)])
+def test_blocks_that_straddle_the_quarter_seam(block, knots, monkeypatch):
+    # the seam is knot 1 002 = 7 * 143 + 1, and 50 000 = 3 * BLOCK + 848: inside a block,
+    # whose knots come from both pieces
+    spec = CurveSpec(family="ck", lam=7.99, k=0)
+    seam = (knots - 1) // 2
+    assert profile_knots(spec.alpha_profile(), knots)[seam] == 0.25 and 0 < seam % block < block - 1
+    monkeypatch.setattr(verify, "BLOCK", block)
+    prof = perfect_profile(spec, g_grid=64, v_quadrature=knots)
+    assert np.max(np.abs(prof.values - one_pass_profile_values(spec, 64, knots))) <= 1e-14
+
+
+def test_a_many_turn_table_whose_every_block_wraps(monkeypatch):
+    # 20 turns on 41 knots: the centres 2t + 1/2 step by 1/2, so each block of 7 wraps past
+    # 1 three times and only its sort puts the centres in order
+    u = np.arange(1, 41) / 4.0
+    spec = CurveSpec(family="custom", samples=tuple((float(a), float((a / 10.0) ** 1.5)) for a in u))
+    seams = spec.alpha_profile().seams()
+    centres = np.mod(2.0 * seams + 0.5, 1.0)
+    assert all(np.any(np.diff(centres[lo : lo + 7]) < 0.0) for lo in range(0, len(seams), 7)[:-1])
+    monkeypatch.setattr(verify, "BLOCK", 7)
+    prof = perfect_profile(spec, g_grid=64, v_quadrature=len(seams))
+    error = np.max(np.abs(prof.values - one_pass_profile_values(spec, 64, len(seams))))
+    assert error <= _rounding_bound(spec, len(seams))
+
+
 # -- relation residuals ----------------------------------------------------------
 
 
@@ -888,6 +950,14 @@ def test_oracle_memory_does_not_grow_with_samples(spec):
 def test_a4_memory_does_not_grow_with_v_quad(spec):
     # one pass over 2e6 knots holds about seven 16 MB arrays
     assert _traced_peak(perfect_profile, spec, v_quadrature=2_000_000) < 4 * 1024 * 1024
+
+
+def test_a4_memory_at_the_axis_cap():
+    # the 3G + 1 cells' prefix sums are 4.5 MiB at 65 536 axes; reading the ramps of all
+    # 3G queries at once next to them, the last block's bounds and the edges peaked at
+    # 23 MiB, and one row of queries at a time after freeing those peaks at 13 MiB
+    spec = CurveSpec(family="sine", lam=0.24)
+    assert _traced_peak(perfect_profile, spec, g_grid=MAX_G_GRID, v_quadrature=MAX_V_QUADRATURE) < 16 * 2**20
 
 
 def test_oracle_agrees_with_quadrature_on_counterexample():
