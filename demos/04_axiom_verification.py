@@ -26,6 +26,7 @@ def show(title, spec, **kwargs):
         residuals = "  ".join(f"{k}={v:.1e}" for k, v in report.residuals.items())
         print(f"  residuals: {residuals}")
     print()
+    return report
 
 
 show("one-turn spiral", CurveSpec(family="fermat", turns=1.0), **FAST)
@@ -34,9 +35,17 @@ show("sine variant lam=0.2", CurveSpec(family="sine", lam=0.2), **FAST)
 show("three-part symbol", CurveSpec(family="fermat", turns=1.0, parts=3), **FAST)
 
 quad_table = tuple((float(u), float(4 * u * u)) for u in np.linspace(0.0, 0.5, 2001))
-show("quadratic profile 4u^2 (counterexample)",
-     CurveSpec(family="custom", samples=quad_table), **FAST)
+quad = show("quadratic profile 4u^2 (counterexample)",
+            CurveSpec(family="custom", samples=quad_table), **FAST)
 
-print("rotation immunity of the one-turn spiral (all integrals should be 0):")
+print("quarter-shift law (one turn, two parts): with rho(t) = alpha(t + 1/4) - alpha(t) - 1/2,")
+print("  f(g) - 1/4 = -2 * integral_0^1/4 rho(t) tent'(g - 2t - 1/2) dt,")
+print("  so A4 is flat exactly when eq_alal holds, and max |f - 1/4| <= sup |rho| / 2:")
+print(f"  quadratic profile: max |f - 1/4| = {quad.profile.max_deviation:.4f} "
+      f"<= {quad.residuals['eq_alal'] / 2:.4f}")
+print()
+
+print("rotation immunity (structural: a slice is one arc of length 1/parts <= 1/2,")
+print("so every integral is 0):")
 rc = rotation_check(CurveSpec(family="fermat", turns=1.0), q_max=6)
 print(" ", rc.integrals)

@@ -15,11 +15,10 @@ reflection x -> g - x of the circle, the overlap
 is a piecewise-linear function of g whose kinks occur only at pairwise
 sums of arc endpoints (mod 1).  It is sum_k sigma_k M(g - e_k) over the
 endpoints e_k (sigma_k = +1 at a start, -1 at an end) of M(y) = integral_0^y 1_S:
-the measure of S inside each reflected arc, which the overlap kernel
-:func:`overlap_sums` reads at every breakpoint from one sort of the endpoints.
-A4's quadratic ramps read sums binned on its axes.  Both take the sums below a
-point, copy terms included, by one path, :func:`_sums_below`.  So the averaging
-identity
+the measure of S inside each reflected arc, which ``CircleSet`` reads at every
+breakpoint from one prefix sum over its sorted endpoints.  A4's quadratic ramps
+read sums binned on its axes.  Both take the sums below a point, copy terms
+included, by one path, :func:`_sums_below`.  So the averaging identity
 
     integral of f over the circle  =  measure(S)^2
 
@@ -161,31 +160,6 @@ def _sums_below(x: np.ndarray, sums: np.ndarray, y: np.ndarray) -> list:
     return s
 
 
-def overlap_sums(points: np.ndarray, weights: np.ndarray, g: np.ndarray, shifts: np.ndarray,
-                 coefs) -> np.ndarray:
-    """sum_j coefs_j * Q(g + shifts_j) at every g, for the ramps Q(y) = sum_l w_l * (y - x_l)_+.
-
-    Q sums over the copies x_l + m of the points x_l in [0, 1], counted from
-    the start of copy 0 (negatively below 0), so on [0, 1) Q sums the points
-    below y: Q = y S_0 - S_1, with S_p from :func:`_sums_below`.  The points are
-    sorted once (stable) and prefix-summed once.
-    The ramps take as many shifts at a time as make ``BLOCK / 4`` values: with
-    ``BLOCK`` the dozen temporaries of a chunk, about 1.3 MB, went back to the
-    system and were faulted in again at every call; a quarter stays in the heap.
-    """
-    order = np.argsort(points, kind="stable")
-    x, wx = points[order], weights[order]
-    sums = _prefix_sums(np.stack((wx, wx * x)))
-    step = max(1, BLOCK // 4 // len(g))
-    out = np.zeros(len(g))
-    for i in range(0, len(shifts), step):
-        y = g + shifts[i : i + step, None]
-        s0, s1 = _sums_below(x, sums, y)
-        for coef, ramp in zip(coefs[i : i + step], y * s0 - s1):
-            out += coef * ramp
-    return out
-
-
 @dataclass(frozen=True)
 class CircleSet:
     """Canonical finite union of disjoint half-open arcs on the circle.
@@ -274,9 +248,25 @@ class CircleSet:
     # -- reflection overlap -------------------------------------------------
 
     def _overlaps(self, g: np.ndarray) -> np.ndarray:
+        """f(g) = sum_k sigma_k M(g - e_k) at every axis g, over the ends e_k of the pieces.
+
+        M(y) = y S_0 - S_1 sums sigma_l (y - e_l)_+ over the copies e_l + m of the ends
+        (negatively below 0), S_p from :func:`_sums_below`.  The constructor keeps the
+        ends rising, so one prefix sum serves every axis.  The ramps take ``BLOCK / 4``
+        values at a time: chunks of ``BLOCK`` made 1.3 MB of temporaries, which went
+        back to the system and were faulted in again at every call.
+        """
         ends = np.array(self.pieces).reshape(-1)
         signs = np.tile([1.0, -1.0], len(self.pieces))
-        return overlap_sums(ends, signs, g, -ends, signs)
+        sums = _prefix_sums(np.stack((signs, signs * ends)))
+        step = max(1, BLOCK // 4 // len(g))
+        out = np.zeros(len(g))
+        for i in range(0, len(ends), step):
+            y = g - ends[i : i + step, None]
+            s0, s1 = _sums_below(ends, sums, y)
+            for sign, ramp in zip(signs[i : i + step], y * s0 - s1):
+                out += sign * ramp
+        return out
 
     def reflection_overlap(self, g: float) -> float:
         """measure(S intersect (g - S)): the largest subset symmetric under x -> g-x."""
@@ -352,7 +342,7 @@ class OverlapProfile:
     values: tuple[float, ...]
 
     def __call__(self, g: float) -> float:
-        return float(np.interp(float(g), self.breakpoints, self.values, period=1.0))
+        return float(np.interp(finite("axis", g), self.breakpoints, self.values, period=1.0))
 
     def integral(self) -> float:
         """Integral of f over the full circle (trapezoid over breakpoints, exact)."""
@@ -372,8 +362,8 @@ def arc_reflection_overlap_into(
     overlap of the arc [start, start + length) at axis g is then
     max(0, |((g + neg_base) mod 1) - 1/2| + length - 1/2).  Nothing in the
     package calls it: the tests sum it over every fiber of the Simpson t-rule
-    oracle, at every axis, as the reference for the ramps of
-    :func:`overlap_sums`, and the benchmark's tracer wraps it by name.
+    oracle, at every axis, as the reference for that oracle's ramps, and the
+    benchmark's tracer wraps it by name.
     """
     if length > 0.5:
         raise ValueError(f"kernel requires arc length <= 1/2, got {length}")

@@ -1,6 +1,6 @@
 """Reference implementations used to pin expected test values.
 
-These deliberately avoid the library's overlap kernel: membership is
+These deliberately avoid the library's overlap kernels: membership is
 counted on dense midpoint grids, a single arc's overlap is written in
 closed form, or two arc lists are intersected pairwise, so any agreement
 with the library is evidence, not tautology.  Intersections and
@@ -11,9 +11,12 @@ each slice located by a plain bisection of the profile; composite Simpson
 over the curve parameter t, the library's rule before it took the exact
 integral of the profile's piecewise-linear interpolant; and that exact
 integral summed segment by segment at every axis, with no sort or prefix
-sum.  For one turn and two parts the paper's quarter-shift law bounds A4
-independently: max |f - 1/4| <= sup |rho| / 2 with rho(t) = alpha(t + 1/4) -
-alpha(t) - 1/2, whose sup over [0, 1/4] is read from alpha alone.  Radial
+sum.  For one turn and two parts the paper's quarter-shift law gives A4
+independently, f(g) - 1/4 = -2 integral_0^1/4 rho(t) tent'(g - 2t - 1/2) dt
+with rho(t) = alpha(t + 1/4) - alpha(t) - 1/2: exactly, from trapezoids of
+rho, for a table, and as the bound max |f - 1/4| <= sup |rho| / 2 for any
+profile.  The v-path and t-rule references sum their ramps with the one-pass
+kernel below, not the library's.  Radial
 crossing counts are sampled radius by radius, where the library reads their
 range from the closed form parts * turns / 2.  The library's A4
 sums the knots' moments on the cells between its axes and reads the ramps
@@ -28,7 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from yinyang.circle_sets import EPS, CircleSet, _prefix_sums, overlap_sums
+from yinyang.circle_sets import EPS, CircleSet, _prefix_sums
 from yinyang.verify import MAX_V_QUADRATURE, profile_knots
 
 
@@ -186,14 +189,14 @@ def bisect_inverse(profile, v) -> np.ndarray:
 def v_path_profile_values(spec, g_grid: int, v_quadrature: int) -> np.ndarray:
     """f(g) integrated over heights: v on :func:`v_quadrature_rule`, slices at alpha^{-1}(v).
 
-    The overlap kernel is shared with the library; it is checked against
-    the G x V kernel on its own.
+    Each slice's tent is read from :func:`one_pass_overlap_sums`, which the
+    tests check against the G x V kernel on its own.
     """
     length = 1.0 / spec.parts
     nodes, w = v_quadrature_rule(v_quadrature)
     centres = np.mod(2.0 * bisect_inverse(spec.alpha_profile(), nodes) + length, 1.0)
     g = np.arange(g_grid) / g_grid
-    return overlap_sums(centres, w, g, np.array([length, 0.0, -length]), (1.0, -2.0, 1.0))
+    return one_pass_overlap_sums(centres, w, g, (length, 0.0, -length), (1.0, -2.0, 1.0))
 
 
 def t_quadrature_rule(profile, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -235,12 +238,12 @@ def t_quadrature_rule(profile, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def t_rule_profile_values(spec, g_grid: int, v_quadrature: int) -> np.ndarray:
-    """f(g) by :func:`t_quadrature_rule`, each fiber's tent read from the degree-1 overlap kernel."""
+    """f(g) by :func:`t_quadrature_rule`, each fiber's tent read from :func:`one_pass_overlap_sums`."""
     length = 1.0 / spec.parts
     nodes, w = t_quadrature_rule(spec.alpha_profile(), v_quadrature)
     centres = np.mod(2.0 * nodes + length, 1.0)
     g = np.arange(g_grid) / g_grid
-    return overlap_sums(centres, w, g, np.array([length, 0.0, -length]), (1.0, -2.0, 1.0))
+    return one_pass_overlap_sums(centres, w, g, (length, 0.0, -length), (1.0, -2.0, 1.0))
 
 
 def _tent_integral(u, length: float):
@@ -341,3 +344,33 @@ def quarter_shift_sup(profile, grid: int = 1001) -> float:
     t = np.concatenate((seams, seams - 0.25, np.linspace(0.0, 0.25, grid)))
     t = t[(t >= 0.0) & (t <= 0.25)]
     return float(np.max(np.abs(profile.evaluate(t + 0.25) - profile.evaluate(t) - 0.5)))
+
+
+def quarter_shift_profile_values(profile, g_grid: int) -> np.ndarray:
+    """f(g) of a one-turn, two-part table from the quarter-shift law, with no sort of centres.
+
+    With L = 1/2 the tent is 1/2 - dist(x, Z), so tent(x) + tent(x + 1/2) = 1/2.
+    Pairing t with t + 1/4 and integrating by parts gives
+
+        f(g) - 1/4 = -2 integral_0^1/4 rho(t) tent'(g - 2t - 1/2) dt,
+        rho(t) = alpha(t + 1/4) - alpha(t) - 1/2.
+
+    tent' is -1 where the fractional part of its argument lies in (0, 1/2) and +1
+    where it lies in (1/2, 1).  On [0, 1/4] it flips once, at t* = (g mod 1/2) / 2,
+    and it is s = +1 on (0, t*) when floor(2g) is even, s = -1 when it is odd.  So
+    with R(t) = integral_0^t rho, f(g) = 1/4 - 2 s (2 R(t*) - R(1/4)).  For a table
+    rho is linear between the seams u_i and u_i - 1/4 in [0, 1/4], so R is a sum of
+    exact trapezoids.
+    """
+    seams = profile.seams()
+    rho = lambda t: profile.evaluate(t + 0.25) - profile.evaluate(t) - 0.5
+    t = np.concatenate((seams, seams - 0.25, [0.0, 0.25]))
+    t = np.unique(t[(t >= 0.0) & (t <= 0.25)])
+    r = rho(t)
+    area = np.concatenate(([0.0], np.cumsum(np.diff(t) * (r[:-1] + r[1:]) / 2.0)))
+    g = np.arange(g_grid) / g_grid
+    flip = np.mod(g, 0.5) / 2.0
+    k = np.searchsorted(t, flip, side="right") - 1
+    below = area[k] + (flip - t[k]) * (r[k] + rho(flip)) / 2.0  # R(t*)
+    sign = np.where(np.floor(2.0 * g) % 2 == 0, 1.0, -1.0)
+    return 0.25 - 2.0 * sign * (2.0 * below - area[-1])

@@ -136,6 +136,13 @@ def test_non_finite_shift_axis_or_point_raises(method, value):
         getattr(CircleSet.from_arcs([(0.1, 0.2)]), method)(value)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_overlap_profile_refuses_a_non_finite_axis(value):
+    # np.interp read nan at nan and inf (with a RuntimeWarning at inf), a silent number
+    with pytest.raises(ValueError, match="axis must be a finite number"):
+        CircleSet.from_arcs([(0.1, 0.2)]).overlap_profile()(value)
+
+
 def test_intersect_complement_reflect_examples():
     half = CircleSet.from_arcs([(0.0, 0.5)])
     quarter = CircleSet.from_arcs([(0.25, 0.25)])

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -11,6 +12,7 @@ from _oracles import (
     bisect_inverse,
     interpolant_profile_values,
     one_pass_profile_values,
+    quarter_shift_profile_values,
     quarter_shift_sup,
     radial_crossings,
     t_quadrature_rule,
@@ -28,7 +30,9 @@ from yinyang.curves import (
     Table,
     beta_polyline,
     branch_polylines,
+    polyline_turning_angles,
 )
+from yinyang.geometry import MAX_PARTS
 from yinyang.render import RenderConfig
 from yinyang.verify import (
     BLOCK,
@@ -53,7 +57,6 @@ from yinyang.verify import (
     reduced_rotations,
     relation_residual,
     rotation_check,
-    single_arc_invariant_measure,
 )
 
 FAST = dict(g_grid=64, v_quadrature=5001)
@@ -511,6 +514,24 @@ def test_a4_within_the_quarter_shift_bound_on_random_tables(samples):
     _assert_quarter_shift_bound(CurveSpec(family="custom", samples=samples))
 
 
+def _assert_quarter_shift_reference(spec):
+    # for a table the law's integral is exact, so only rounding may part the two
+    reference = quarter_shift_profile_values(spec.alpha_profile(), G_GRID)
+    assert np.max(np.abs(perfect_profile(spec).values - reference)) <= 1e-12
+
+
+@pytest.mark.parametrize("spec", [s for s in QUARTER_SHIFT_SPECS if s.alpha_profile().linear_pieces],
+                         ids=lambda s: _spec_id(s) + f"-{len(s.samples or ())}")
+def test_a4_equals_the_quarter_shift_reference(spec):
+    _assert_quarter_shift_reference(spec)
+
+
+@settings(max_examples=25, deadline=None)
+@given(samples=tables(turns=1.0))
+def test_a4_equals_the_quarter_shift_reference_on_random_tables(samples):
+    _assert_quarter_shift_reference(CurveSpec(family="custom", samples=samples))
+
+
 @pytest.mark.parametrize("block", [1, 2, 7])
 def test_seams_and_table_knots_on_block_edges(block, monkeypatch):
     # 225 knots: ck's seam at t = 1/4 is knot 112, and every 7th knot is one of the
@@ -659,6 +680,9 @@ def test_m_function_domain():
         m_function(p, 1.1)
     with pytest.raises(ValueError, match="1.0 turns"):
         m_function(Fermat(2.0), 0.5)
+    for u in (math.nan, [0.5, math.nan]):  # u <= 0 and u > 1 are both False at NaN
+        with pytest.raises(ValueError, match=r"must lie in \(0, 1\]"):
+            m_function(p, u)
 
 
 # -- radial crossings -----------------------------------------------------------------
@@ -816,21 +840,19 @@ def test_rotation_fiber_full_circle_degenerate():
         assert w @ fibers == pytest.approx(1.0, abs=1e-12)
 
 
-def test_single_arc_invariant_measure_matches_circle_sets():
-    rng = np.random.default_rng(20261018)
-    lengths = np.concatenate([rng.uniform(0.0, 0.5, 20), rng.uniform(0.5, 1.0, 40)])
-    nonzero = 0
-    for start, length in zip(rng.random(len(lengths)), lengths):
-        arc = CircleSet.from_arcs([(float(start), float(length))])
-        for p, q in reduced_rotations(7):
-            expected = arc.rotation_invariant_part(p, q).measure()
-            assert single_arc_invariant_measure(float(length), q) == pytest.approx(expected, abs=1e-12)
-            nonzero += expected > 1e-9
-    assert nonzero >= 20  # long arcs keep a part, so the formula is really exercised
+@settings(max_examples=50, deadline=None)
+@given(start=st.floats(-1e6, 1e6), parts=st.integers(2, MAX_PARTS), q=st.integers(2, 12), data=st.data())
+def test_slice_arcs_hold_no_rotation_invariant_part(start, parts, q, data):
+    # an arc of length 1/parts <= 1/2 <= (q - 1)/q: its q translates by k/q share no point
+    p = data.draw(st.sampled_from([p for p in range(1, q) if math.gcd(p, q) == 1]))
+    assert CircleSet.from_arcs([(start, 1.0 / parts)]).rotation_invariant_part(p, q).pieces == ()
+    rc = rotation_check(CurveSpec(family="fermat", turns=1.0, parts=parts), q_max=q)
+    assert list(rc.integrals) == [f"{a}/{b}" for a, b in reduced_rotations(q)]
+    assert all(v == 0.0 for v in rc.integrals.values()) and rc.passed
 
 
 def test_rotation_check_matches_slice_algebra():
-    # the closed form against the per-slice CircleSet integral it replaces
+    # the structural zeros against the per-slice CircleSet integral they replace
     for spec in (CurveSpec(family="fermat", turns=1.5, parts=2), CurveSpec(family="sine", lam=0.1, parts=3)):
         nodes, w = v_quadrature_rule(101)
         slices = [CircleSet.from_arcs([(float(t) % 1.0, 1.0 / spec.parts)])
@@ -839,7 +861,7 @@ def test_rotation_check_matches_slice_algebra():
         for p, q in reduced_rotations(5):
             fibers = np.array([s.rotation_invariant_part(p, q).measure() for s in slices])
             assert rc.integrals[f"{p}/{q}"] == pytest.approx(float(w @ fibers), abs=1e-12)
-    assert "closed form, single-arc slices" in rc.to_json()["detail"]
+    assert rc.to_json()["detail"].startswith("structural: every slice is one arc")
 
 
 def test_check_axioms_validates_flatness_tolerance():
@@ -1017,3 +1039,23 @@ def test_a5_max_angle_matches_disk_point_polyline(spec):
     )
     report = check_axioms(spec, g_grid=8, v_quadrature=101)
     assert report.axioms["A5"].witness == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize("parts", range(2, 8))
+@pytest.mark.parametrize("spec", [
+    CurveSpec(family="fermat", turns=1.0),
+    CurveSpec(family="fermat", turns=2.5),
+    CurveSpec(family="sine", lam=0.2),
+    CurveSpec(family="ck", lam=1.0, k=3),
+    CurveSpec(family="custom", samples=quad_table()),
+], ids=lambda s: _spec_id(s).removesuffix("-parts2"))
+def test_a5_witness_is_the_largest_angle_over_every_branch(spec, parts):
+    # A5 reads branch 0 alone; its rotated copies move the angles only by rounding
+    spec = dataclasses.replace(spec, parts=parts)
+    expected = 0.0
+    for branch in branch_polylines(spec, POLYLINE_POINTS):  # the per-branch loop A5 ran before
+        angles = polyline_turning_angles(branch)
+        if len(angles):
+            expected = max(expected, float(np.max(angles)))
+    report = check_axioms(spec, g_grid=8, v_quadrature=101)
+    assert abs(report.axioms["A5"].witness - expected) <= 1e-13
