@@ -16,7 +16,7 @@ of congruent parts.  Each family is one subclass of :class:`AlphaProfile`:
   0 < lam < 1/4.  Satisfies the quarter-shift relation
   alpha(u + 1/4) = alpha(u) + 1/2 exactly.
 * ``ck``, ``Ck(lam, k)`` -- one turn, alpha = f with
-  f(u) = 2u + lam * u^(k+1) (1/4 - u)^(k+1) on [0, 1/4] and
+  f(u) = 2u + lam * (u (1/4 - u))^(k+1) on [0, 1/4] and
   f(u) = 1/2 + f(u - 1/4) on [1/4, 1/2]; k times continuously
   differentiable at the seam.  lam must keep f strictly increasing:
   the constructor checks f' at its closed-form minimiser on [0, 1/4].
@@ -77,14 +77,15 @@ class AlphaProfile(ABC):
     def inverse(self, v):
         """The u in [0, domain_end] with alpha(u) = v, for v in [0, 1 + 1e-12].
 
-        v = 0 gives u = 0 and v above alpha(domain_end) gives domain_end; the
-        slack above 1 absorbs rounding in callers that compute v.
+        v = 0 gives u = 0 and v above alpha(domain_end) gives domain_end (the one
+        clip; ``_inverse`` skips it and the check, for v in [0, 1)); the slack
+        above 1 absorbs rounding in callers that compute v.
         """
         scalar = np.ndim(v) == 0
         v = np.asarray(v, dtype=float)
         if not np.all((v >= 0.0) & (v <= 1.0 + 1e-12)):  # NaN fails both comparisons
             raise ValueError("inverse argument must lie in [0, 1 + 1e-12]")
-        out = self._inverse(v)
+        out = np.minimum(self._inverse(v), self.domain_end)
         return float(out) if scalar else out
 
     @abstractmethod
@@ -160,8 +161,7 @@ class Fermat(AlphaProfile):
         return np.full_like(u, 2.0 / self.turns)
 
     def _inverse(self, v):
-        # the product passes domain_end for v above 1, where the contract clips
-        return np.minimum((self.turns / 2.0) * v, self.domain_end)
+        return (self.turns / 2.0) * v
 
 
 class Sine(AlphaProfile):
@@ -202,7 +202,7 @@ class Ck(AlphaProfile):
             )
 
     def _half(self, u):
-        return 2.0 * u + self.lam * u ** (self.k + 1) * (0.25 - u) ** (self.k + 1)
+        return 2.0 * u + self.lam * (u * (0.25 - u)) ** (self.k + 1)
 
     def _half_derivative(self, u):
         return 2.0 + self.lam * (self.k + 1) * (u * (0.25 - u)) ** self.k * (0.25 - 2.0 * u)

@@ -181,11 +181,9 @@ def _fmt(x: float) -> str:
 
 
 def _dedupe(points: np.ndarray) -> np.ndarray:
-    keep = [0]
-    for i in range(1, len(points)):
-        if np.hypot(*(points[i] - points[keep[-1]])) > 1e-12:
-            keep.append(i)
-    return points[keep]
+    # spiral samples lie interpol >= 1 / MAX_SPIRAL_STEPS apart: only the one before can repeat
+    step = np.diff(points, axis=0)
+    return points[np.concatenate(([True], np.hypot(step[:, 0], step[:, 1]) > 1e-12))]
 
 
 def _catmull_rom_segments(points: np.ndarray) -> str:

@@ -25,6 +25,9 @@ every point and degree-2 ramps at every axis, are kept here as references
 that it must match to rounding, 1e-14 max(1, sum |D_i|).  A profile that
 is linear between its seams walks only those; the one-pass profile over the
 knots of ``--v-quad``, the path it replaced there, must match it to rounding.
+The renderer drops a spiral sample that repeats the one before it in one
+vectorised pass; the loop it replaced, which compared each sample with the
+last one kept, is kept here as the reference it must equal.
 """
 
 from __future__ import annotations
@@ -374,3 +377,12 @@ def quarter_shift_profile_values(profile, g_grid: int) -> np.ndarray:
     below = area[k] + (flip - t[k]) * (r[k] + rho(flip)) / 2.0  # R(t*)
     sign = np.where(np.floor(2.0 * g) % 2 == 0, 1.0, -1.0)
     return 0.25 - 2.0 * sign * (2.0 * below - area[-1])
+
+
+def loop_dedupe(points: np.ndarray) -> np.ndarray:
+    """Drop each point within 1e-12 of the last point kept: the renderer's former loop."""
+    keep = [0]
+    for i in range(1, len(points)):
+        if np.hypot(*(points[i] - points[keep[-1]])) > 1e-12:
+            keep.append(i)
+    return points[keep]

@@ -161,6 +161,13 @@ def test_verify_a_t_rule_too_coarse_for_a4_exits_two(capsys):
                 "--axioms", "A2"]) == 0
 
 
+def test_verify_a2_passes_a_near_flat_table(capsys):
+    # a table that rises by less than an ulp per A2 grid step exited 1 on A2
+    assert run(["verify", "--family", "custom", "--samples", str(FIXTURES / "near_flat.json"),
+                *FAST_VERIFY, "--axioms", "A2"]) == 0
+    assert json.loads(capsys.readouterr().out)["axioms"]["A2"]["pass"] is True
+
+
 def test_verify_many_turn_fermat_passes_a4_at_the_default_t_rule(capsys):
     # fermat is its own interpolant, so no knot count is too coarse for it
     assert run(["verify", "--family", "fermat", "--turns", "100000", "--axioms", "A4"]) == 0

@@ -21,6 +21,7 @@ from yinyang.curves import (
     section,
 )
 from yinyang.geometry import DISK_RADIUS, DiskPoint, cylinder_to_disk, CylinderPoint
+from yinyang.verify import _grid
 
 
 def _profile_invariants(profile, tol=1e-9):
@@ -196,7 +197,7 @@ def test_inverse_and_section_refuse_nan():
 def test_inverse_states_the_range_it_accepts():
     for profile in (Fermat(1.0), Fermat(1.5), Sine(0.1), Ck(1.0, 1), Table(_quadratic_table())):
         assert profile.inverse(0.0) == pytest.approx(0.0, abs=1e-15)
-        # fermat's closed form multiplied past domain_end; the Newton path and tables clip
+        # the public inverse clips fermat's product, which passes domain_end above v = 1
         assert profile.inverse(1.0 + 1e-12) == profile.domain_end
         assert np.all(profile.inverse(np.array([1.0, 1.0 + 1e-12])) == profile.domain_end)
         for bad in (-1e-300, 1.0 + 2e-12):
@@ -233,6 +234,15 @@ def test_ck_refuses_every_lambda_past_the_monotonicity_limit(k):
     Ck(CK_LAMBDA_MAX[k] * (1.0 - 1e-10), k)
     with pytest.raises(ValueError, match=r"derivative -.* at u="):
         Ck(CK_LAMBDA_MAX[k] * (1.0 + 1e-10), k)
+
+
+@pytest.mark.parametrize("profile", [pytest.param(Sine(0.2499), id="sine-0.2499")] + [
+    pytest.param(Ck(0.999 * CK_LAMBDA_MAX[k], k), id=f"ck{k}-0.999max") for k in range(4)] + [
+    pytest.param(Fermat(turns), id=f"fermat-{turns}") for turns in (0.5, 1.0, 1.5, 2.0, 3.0, 7.0)])
+def test_constructors_prove_the_monotonicity_a2_relies_on(profile):
+    # A2 takes strict increase from the constructors; this is the grid it once sampled
+    u = _grid(0.0, profile.domain_end)
+    assert np.all(np.diff(profile.evaluate(u)) > 0.0)
 
 
 INVERSE_BOUND = 1e-14  # the certificate's half-width is 4e-15; bisection's own noise is below

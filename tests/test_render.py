@@ -5,13 +5,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from _oracles import loop_dedupe
 from yinyang.render import (
     EVOLUTION_TURNS,
     PRESET_NOTES,
     RENDER_PRESETS,
     MAX_SPIRAL_STEPS,
     RenderConfig,
+    _dedupe,
     default_interpol,
     render,
     spiral_points,
@@ -77,6 +80,23 @@ def test_spiral_points_refuses_a_turn_whose_angles_overflow(turn):
     with pytest.raises(ValueError, match="turn"):
         spiral_points(turn, 1.0 / 16.0)
     assert len(spiral_points(1e306 / 2.0, 1.0 / 16.0)) == 19
+
+
+@pytest.mark.parametrize("k", [1, 3, 7, 16, 100, 1000])
+def test_dedupe_drops_the_origin_and_closing_repeats(k):
+    # at a step of 1/k the last sample sits on the rim, where the closing point repeats it
+    points = spiral_points(1.0, 1.0 / k)
+    kept = _dedupe(points)
+    assert len(kept) == len(points) - 2
+    assert np.array_equal(kept, loop_dedupe(points))
+
+
+@settings(max_examples=100, deadline=None)
+@given(turn=st.floats(0.05, 8.0),
+       interpol=st.one_of(st.integers(1, 2000).map(lambda k: 1.0 / k), st.floats(1e-3, 1.0)))
+def test_dedupe_matches_the_loop_it_replaced(turn, interpol):
+    points = spiral_points(turn, interpol)
+    assert np.array_equal(_dedupe(points), loop_dedupe(points))
 
 
 # -- documents -----------------------------------------------------------------

@@ -32,7 +32,7 @@ from yinyang.curves import (
     branch_polylines,
     polyline_turning_angles,
 )
-from yinyang.geometry import MAX_PARTS
+from yinyang.geometry import MAX_PARTS, mod1
 from yinyang.render import RenderConfig
 from yinyang.verify import (
     BLOCK,
@@ -46,6 +46,7 @@ from yinyang.verify import (
     V_QUADRATURE,
     AxiomVerdict,
     _frac,
+    _grid,
     applicable_relations,
     check_axioms,
     knot_count,
@@ -760,6 +761,25 @@ def test_check_axioms_quadratic_counterexample():
     assert not report.all_passed(("A1", "A2", "A3", "A4"))
 
 
+NEAR_FLAT = json.loads((Path(__file__).parent / "fixtures" / "near_flat.json").read_text())
+
+
+def test_a2_passes_a_table_that_rises_less_than_an_ulp_per_grid_step():
+    # Table accepts this strictly increasing table; a 10 000-point A2 grid read its
+    # second piece as flat and reported "not strictly increasing"
+    report = check_axioms(CurveSpec(family="custom", samples=NEAR_FLAT), **FAST)
+    assert report.axioms["A2"].passed
+    assert report.axioms["A2"].to_json() == {"pass": True, "detail": "each concentric circle crossed 2 times"}
+
+
+@settings(max_examples=50, deadline=None)
+@given(samples=tables())
+def test_table_profiles_never_decrease_on_the_a2_grid(samples):
+    # the grid the A2 check sampled: a table's interpolant may repeat a value, never fall
+    profile = Table(samples)
+    assert np.all(np.diff(profile.evaluate(_grid(0.0, profile.domain_end))) >= 0.0)
+
+
 def test_flatness_iff_quarter_shift_relation():
     """Both directions: flat profile <-> vanishing quarter-shift residual."""
     flat_specs = [
@@ -883,7 +903,7 @@ def test_check_axioms_refuses_a_t_rule_too_coarse_for_the_tents(parts):
 
 
 def test_check_axioms_refuses_a_coarse_t_rule_before_the_sweep(monkeypatch):
-    # the knot count is known from the spec: neither A2's grid nor A4 may evaluate alpha
+    # the knot count is known from the spec: A4 refuses before it evaluates alpha
     points = []
     monkeypatch.setattr(Sine, "_alpha", lambda self, u: points.append(np.size(u)))
     with pytest.raises(ValueError, match="--v-quad"):
@@ -960,6 +980,30 @@ def test_oracle_blocks_match_one_pass_across_block_edges(spec, monkeypatch):
     for samples in (1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7):
         one_pass = _oracle_in_blocks(monkeypatch, samples, spec, g=0.3, samples=samples, seed=5)
         assert monte_carlo_overlap(spec, g=0.3, samples=samples, seed=5) == one_pass, samples
+
+
+def _public_inverse_overlap(spec, g, samples, seed):
+    """The oracle's estimate with every block sent through the checked public ``inverse``."""
+    g, length = mod1(g), 1.0 / spec.parts
+    rng = np.random.default_rng(seed)
+    hits, remaining = 0, samples
+    while remaining > 0:
+        n = min(BLOCK, remaining)
+        pair = rng.random((n, 2))
+        v, u = pair[:, 0], pair[:, 1]
+        t = spec.alpha_profile().inverse(v)
+        hits += int(np.count_nonzero((_frac(u - t) < length) & (_frac(_frac(g - u) - t) < length)))
+        remaining -= n
+    return hits / samples
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=lambda s: _spec_id(s) + f"-{len(s.samples or ())}")
+def test_oracle_equals_the_estimate_through_the_public_inverse(spec):
+    # the oracle draws v in [0, 1) and skips inverse's range check and clip
+    for g in (0.3, 0.71):
+        for seed in (1, 2):
+            est = monte_carlo_overlap(spec, g=g, samples=3 * BLOCK + 7, seed=seed)
+            assert est.value == _public_inverse_overlap(spec, g, 3 * BLOCK + 7, seed), (g, seed)
 
 
 @pytest.mark.parametrize("spec", ORACLE_BLOCK_SPECS, ids=lambda s: s.family)
