@@ -30,7 +30,6 @@ from .curves import (
     section,
 )
 from .geometry import (
-    CirclePoint,
     CylinderPoint,
     DiskPoint,
     cylinder_to_disk,
@@ -64,7 +63,6 @@ __all__ = [
     "beta_polyline",
     "contains",
     "section",
-    "CirclePoint",
     "CylinderPoint",
     "DiskPoint",
     "cylinder_to_disk",

@@ -50,7 +50,9 @@ _CERTIFY_DELTA = 4e-15  # bracket half-width, some 36 ulp of u = 1/2: above alph
 class AlphaProfile(ABC):
     """Height profile v = alpha(u) of one spiral branch on the cylinder.
 
-    ``evaluate`` and ``inverse`` accept scalars or numpy arrays.  The
+    ``evaluate`` and ``inverse`` accept scalars or numpy arrays and refuse
+    an argument outside their domain; the package calls the unchecked
+    ``_alpha`` and ``_inverse`` on the points it makes itself.  The
     profile is strictly increasing from 0 (exclusive) at u -> 0 to 1 at
     u = domain_end = turns/2.  A family gives the formula ``_alpha`` and its
     ``derivative``, may list interior ``seams`` where the derivative is not
@@ -70,8 +72,12 @@ class AlphaProfile(ABC):
         return self.turns / 2.0
 
     def evaluate(self, u):
+        """alpha(u) for u in [0, domain_end]."""
         scalar = np.ndim(u) == 0
-        out = self._alpha(np.asarray(u, dtype=float))
+        u = np.asarray(u, dtype=float)
+        if not np.all((u >= 0.0) & (u <= self.domain_end)):  # NaN fails both comparisons
+            raise ValueError(f"evaluate argument must lie in [0, domain_end = {self.domain_end!r}]")
+        out = self._alpha(u)
         return float(out) if scalar else out
 
     def inverse(self, v):
@@ -140,7 +146,7 @@ class AlphaProfile(ABC):
         hi = np.full_like(v, self.domain_end)
         for _ in range(_INVERSE_BISECTIONS):
             mid = 0.5 * (lo + hi)
-            below = self.evaluate(mid) < v
+            below = self._alpha(mid) < v
             lo = np.where(below, mid, lo)
             hi = np.where(below, hi, mid)
         return 0.5 * (lo + hi)
@@ -361,7 +367,7 @@ def branch_polylines(spec: CurveSpec, n: int) -> np.ndarray:
     profile = spec.alpha_profile()
     u = (np.arange(1, n + 1) / n) * profile.domain_end
     out = np.empty((spec.parts, n, 2))
-    out[:, :, 0] = np.sqrt(profile.evaluate(u) / math.pi)
+    out[:, :, 0] = np.sqrt(profile._alpha(u) / math.pi)
     out[:, :, 1] = 2.0 * math.pi * (u + (np.arange(spec.parts) / spec.parts)[:, None])
     return out
 

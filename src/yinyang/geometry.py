@@ -75,19 +75,6 @@ def _mod_half_open_high(x: float, period: float) -> float:
 
 
 @dataclass(frozen=True)
-class CirclePoint:
-    """A point of the circle R/Z, stored as its representative in [0, 1)."""
-
-    value: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", mod1(float(self.value)))
-
-    def __float__(self) -> float:
-        return self.value
-
-
-@dataclass(frozen=True)
 class CylinderPoint:
     """A point (u, v) of the cylinder, both coordinates in (0, 1]."""
 
@@ -136,7 +123,7 @@ def cylinder_to_disk(p: CylinderPoint) -> DiskPoint:
     return DiskPoint(r=math.sqrt(p.v / math.pi), phi=TWO_PI * p.u)
 
 
-def reflect_u(g: CirclePoint | float, p: CylinderPoint) -> CylinderPoint:
+def reflect_u(g: float, p: CylinderPoint) -> CylinderPoint:
     """Reflection of the cylinder: (u, v) -> (g - u, v).
 
     Corresponds to reflecting the disk in the diameter at angle pi*g.
@@ -145,7 +132,7 @@ def reflect_u(g: CirclePoint | float, p: CylinderPoint) -> CylinderPoint:
     return CylinderPoint(u=_mod_half_open_high(float(g) - p.u, 1.0), v=p.v)
 
 
-def rotate_u(h: CirclePoint | float, p: CylinderPoint) -> CylinderPoint:
+def rotate_u(h: float, p: CylinderPoint) -> CylinderPoint:
     """Rotation of the cylinder: (u, v) -> (u + h, v).
 
     Corresponds to rotating the disk by angle 2pi*h.
@@ -153,6 +140,6 @@ def rotate_u(h: CirclePoint | float, p: CylinderPoint) -> CylinderPoint:
     return CylinderPoint(u=_mod_half_open_high(p.u + float(h), 1.0), v=p.v)
 
 
-def reflect_disk(g: CirclePoint | float, p: DiskPoint) -> DiskPoint:
+def reflect_disk(g: float, p: DiskPoint) -> DiskPoint:
     """Reflect a disk point in the diameter at angle pi*g."""
     return DiskPoint(r=p.r, phi=TWO_PI * float(g) - p.phi)

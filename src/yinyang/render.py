@@ -207,26 +207,17 @@ def _catmull_rom_segments(points: np.ndarray) -> str:
     return " ".join(cmds)
 
 
-class _SymbolTransform:
-    """Mirror about the vertical axis (optional), then rotate about the origin."""
+def _turned(points: np.ndarray, degrees: float) -> np.ndarray:
+    """The points rotated counterclockwise about the origin by ``degrees``."""
+    a = math.radians(degrees)
+    cos, sin = math.cos(a), math.sin(a)
+    x, y = points[:, 0], points[:, 1]
+    return np.column_stack([x * cos - y * sin, x * sin + y * cos])
 
-    def __init__(self, angle_deg: float, mirror: bool):
-        self.mirror = mirror
-        a = math.radians(angle_deg)
-        self.cos, self.sin = math.cos(a), math.sin(a)
 
-    def apply(self, points: np.ndarray) -> np.ndarray:
-        pts = np.array(points, dtype=float, copy=True)
-        if self.mirror:
-            pts[:, 0] = -pts[:, 0]
-        x = pts[:, 0] * self.cos - pts[:, 1] * self.sin
-        y = pts[:, 0] * self.sin + pts[:, 1] * self.cos
-        return np.column_stack([x, y])
-
-    @property
-    def sweep_ccw(self) -> str:
-        # arc sweep flag for a counterclockwise arc, after possible mirroring
-        return "0" if self.mirror else "1"
+def _path(points: np.ndarray) -> str:
+    """'M' to the first point, then the Bezier segments through the rest."""
+    return f"M {_fmt(points[0][0])} {_fmt(points[0][1])} " + _catmull_rom_segments(points)
 
 
 def _rgb(color: tuple[float, float, float]) -> str:
@@ -243,30 +234,25 @@ def render(config: RenderConfig) -> SvgDocument:
     """
     radius = config.radius_px
     interpol = config.effective_interpol
-    transform = _SymbolTransform(angle_deg=config.angle_deg, mirror=not config.clockwise)
     base = _dedupe(spiral_points(config.turn, interpol)) * radius
     branch_angle = 360.0 / config.parts
     branches = []
     for j in range(config.parts):
-        a = math.radians(branch_angle * j)
-        rot = np.array([[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]])
-        branches.append(transform.apply(base @ rot.T))
+        branch = _turned(base, branch_angle * j)
+        if not config.clockwise:  # mirror about the vertical axis
+            branch[:, 0] = -branch[:, 0]
+        branches.append(_turned(branch, config.angle_deg))
+    sweep = "1" if config.clockwise else "0"  # the rim arc runs counterclockwise until mirrored
 
     def region_path(i: int) -> str:
         """Region swept from branch i to branch i+1 (counterclockwise)."""
-        j = (i + 1) % config.parts
-        out = branches[i]
-        back = branches[j][::-1]
-        arc_end = back[0]
-        d = (
-            f"M {_fmt(out[0][0])} {_fmt(out[0][1])} "
-            + _catmull_rom_segments(out)
-            + f" A {_fmt(radius)} {_fmt(radius)} 0 0 {transform.sweep_ccw} "
-            + f"{_fmt(arc_end[0])} {_fmt(arc_end[1])} "
+        back = branches[(i + 1) % config.parts][::-1]
+        return (
+            _path(branches[i])
+            + f" A {_fmt(radius)} {_fmt(radius)} 0 0 {sweep} {_fmt(back[0][0])} {_fmt(back[0][1])} "
             + _catmull_rom_segments(back)
             + " Z"
         )
-        return d
 
     elements: list[str] = []
     if config.parts == 2:
@@ -279,9 +265,8 @@ def render(config: RenderConfig) -> SvgDocument:
 
     spiral_width = config.stroke_width_px * 0.5
     for branch in branches:
-        d = f"M {_fmt(branch[0][0])} {_fmt(branch[0][1])} " + _catmull_rom_segments(branch)
         elements.append(
-            f'<path d="{d}" fill="none" stroke="black" '
+            f'<path d="{_path(branch)}" fill="none" stroke="black" '
             f'stroke-width="{_fmt(spiral_width)}"/>'
         )
     elements.append(

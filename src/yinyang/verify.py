@@ -89,6 +89,8 @@ RELATION_TURNS = {
     "eq_al3": 1.5,
 }
 RELATION_IDS = tuple(RELATION_TURNS)
+#: A turn count within this of a relation's count takes that relation.
+TURN_TOLERANCE = 1e-12
 
 #: Flatness tolerance for A4: closed-form families vs interpolated tables.
 FLATNESS_TOL_CLOSED_FORM = 1e-6
@@ -218,7 +220,7 @@ def perfect_profile(
                 piece = t[a - first : b - first]
                 np.multiply(np.arange(a - ends[k], b - ends[k], dtype=float), step, out=piece)
                 piece += at[k]
-        alpha = profile.evaluate(t)
+        alpha = profile._alpha(t)
         rise += (alpha[-1] if hi == n else 0.0) - (alpha[0] if lo == 0 else 0.0)
         # slopes[j] is the half slope of the segment that ends at knot lo + j
         end = len(t) - (lo > 0)
@@ -271,7 +273,7 @@ def perfect_profile(
 
 
 def _require_turns(profile: AlphaProfile, relation: str, turns: float) -> None:
-    if abs(profile.turns - turns) > 1e-12:
+    if abs(profile.turns - turns) > TURN_TOLERANCE:
         raise ValueError(
             f"relation {relation} applies to profiles with {turns} turns, "
             f"got {profile.turns}"
@@ -292,7 +294,7 @@ def m_function(profile: AlphaProfile, u):
     u = np.atleast_1d(np.asarray(u, dtype=float))
     if not np.all((u > 0.0) & (u <= 1.0)):
         raise ValueError("m_function argument must lie in (0, 1]")
-    abar = lambda x: profile.evaluate(x / 2.0)
+    abar = lambda x: profile._alpha(x / 2.0)
     out = np.empty_like(u)
     low = u <= 0.5
     out[low] = abar(u[low]) + 1.0 - abar(u[low] + 0.5)
@@ -310,7 +312,7 @@ def relation_residual(profile: AlphaProfile, relation: str) -> float:
     if relation not in RELATION_TURNS:
         raise ValueError(f"unknown relation {relation!r}, expected one of {RELATION_IDS}")
     _require_turns(profile, relation, RELATION_TURNS[relation])
-    a = profile.evaluate
+    a = profile._alpha
     if relation == "eq_alal":
         u = _grid(0.0, 0.25)
         res = a(u + 0.25) - a(u) - 0.5
@@ -331,7 +333,7 @@ def relation_residual(profile: AlphaProfile, relation: str) -> float:
 
 
 def applicable_relations(turns: float) -> tuple[str, ...]:
-    return tuple(r for r, t in RELATION_TURNS.items() if abs(turns - t) <= 1e-12)
+    return tuple(r for r, t in RELATION_TURNS.items() if abs(turns - t) <= TURN_TOLERANCE)
 
 
 # -- axiom verdicts -----------------------------------------------------------
@@ -375,7 +377,7 @@ class VerifyReport:
             "target": self.profile.target,
             "max_dev": self.profile.max_deviation,
             "witness_g": self.profile.witness_g,
-            "values": [float(x) for x in self.profile.values],
+            "values": self.profile.values.tolist(),
         }
         return {
             "version": 1,
@@ -396,11 +398,11 @@ def radial_crossing_range(parts: int, turns: float) -> tuple[int, int]:
     Branch j spans circle positions (j/parts, j/parts + turns/2], so the radius
     at position u0 is crossed #{k in Z : 0 < u0 + k/parts <= turns/2} times:
     c = parts * turns / 2 times on every radius when c is an integer, and else
-    floor(c) times on some radii and ceil(c) on the rest.  A c within 1e-12 of
-    an integer, the turn tolerance of the relations, counts as that integer.
+    floor(c) times on some radii and ceil(c) on the rest.  A c within
+    TURN_TOLERANCE of an integer counts as that integer.
     """
     c = parts * turns / 2.0
-    if abs(c - round(c)) <= 1e-12:
+    if abs(c - round(c)) <= TURN_TOLERANCE:
         c = round(c)
     return math.floor(c), math.ceil(c)
 

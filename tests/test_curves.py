@@ -1,5 +1,7 @@
 import json
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -203,6 +205,25 @@ def test_inverse_states_the_range_it_accepts():
         for bad in (-1e-300, 1.0 + 2e-12):
             with pytest.raises(ValueError, match=r"\[0, 1 \+ 1e-12\]"):
                 profile.inverse(bad)
+
+
+@pytest.mark.parametrize("profile, u", [(Fermat(1.0), math.nan), (Fermat(1.0), 5.0),
+                                        (Table([[0.5, 1.0]]), math.inf), (Sine(0.1), math.inf),
+                                        (Ck(1.0, 1), -1e-300), (Sine(0.1), np.array([0.25, math.nan]))],
+                         ids=["fermat-nan", "fermat-5", "table-inf", "sine-inf", "ck-below-0", "sine-nan-array"])
+def test_evaluate_refuses_u_outside_its_domain(profile, u):
+    # without a check these read nan, 10.0 and 1.0, and sine warned at inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(f"[0, domain_end = {profile.domain_end!r}]")):
+            profile.evaluate(u)
+
+
+def test_evaluate_accepts_its_closed_domain():
+    for profile in (Fermat(1.5), Sine(0.1), Ck(1.0, 1), Table(_quadratic_table())):
+        assert profile.evaluate(0.0) == pytest.approx(0.0, abs=1e-15)
+        assert profile.evaluate(profile.domain_end) == pytest.approx(1.0, abs=1e-15)
+        assert profile.evaluate(np.array([0.0, profile.domain_end])).shape == (2,)
 
 
 def _ck_lambda_max(k):

@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from yinyang.geometry import (
     DISK_RADIUS,
-    CirclePoint,
     CylinderPoint,
     DiskPoint,
     cylinder_to_disk,
@@ -143,7 +142,7 @@ def test_round_trip_cylinder(u, v):
     assert q.v == pytest.approx(p.v, abs=TOL)
 
 
-def test_circle_point_normalizes():
-    assert CirclePoint(1.25).value == pytest.approx(0.25)
-    assert CirclePoint(-0.25).value == pytest.approx(0.75)
-    assert CirclePoint(-1e-17).value == 0.0  # mod must not return 1.0
+def test_mod1_normalizes():
+    assert mod1(1.25) == pytest.approx(0.25)
+    assert mod1(-0.25) == pytest.approx(0.75)
+    assert mod1(-1e-17) == 0.0  # mod must not return 1.0

@@ -117,6 +117,12 @@ def test_three_part_matches_golden():
     assert xml.encode() == (GOLDEN / "threepart.svg").read_bytes()
 
 
+def test_counterclockwise_matches_golden():
+    # yy render --parts 4 --turn 3 --rotate 17.5 --counterclockwise: the mirrored path
+    xml = render(RenderConfig(parts=4, turn=3.0, rotate_deg=17.5, clockwise=False)).to_xml()
+    assert xml.encode() == (GOLDEN / "counterclockwise.svg").read_bytes()
+
+
 def test_output_byte_stable():
     cfg = RenderConfig(turn=1.5, rotate_deg=-60.0)
     assert render(cfg).to_xml() == render(cfg).to_xml()

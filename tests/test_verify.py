@@ -644,6 +644,17 @@ def test_applicable_relations_follow_turns():
     assert applicable_relations(1.25) == ()
 
 
+@pytest.mark.parametrize("turns", [1.0, 2.0])
+def test_relations_read_alpha_past_a_domain_end_within_the_turn_tolerance(turns):
+    # a table ending 4e-13 short of turns/2 takes the relations, whose shifted arguments
+    # (u + 1/4, u + 3/4) then pass its domain_end: they read alpha unchecked
+    end = turns / 2.0 - 4e-13
+    profile = Table([[end / 2.0, 0.5], [end, 1.0]])
+    assert applicable_relations(profile.turns) == applicable_relations(turns) != ()
+    for relation in applicable_relations(turns):
+        assert relation_residual(profile, relation) <= 1e-9
+
+
 def test_residual_unknown_relation():
     with pytest.raises(ValueError, match="unknown relation"):
         relation_residual(Fermat(1.0), "eq_bogus")
