@@ -25,7 +25,6 @@ of congruent parts.  Each family is one subclass of :class:`AlphaProfile`:
 
 from __future__ import annotations
 
-import functools
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -43,8 +42,6 @@ MAX_TURNS = 1e6
 MAX_K = 1_000
 
 _INVERSE_BISECTIONS = 64  # enough to exhaust float64 resolution on (0, turns/2]
-_GUESS_KNOTS = 4097  # guess within about 5e-8 (5e-5 where alpha' nears 0): two Newton steps reach rounding
-_CERTIFY_DELTA = 4e-15  # bracket half-width, some 36 ulp of u = 1/2: above alpha's rounding noise
 
 
 class AlphaProfile(ABC):
@@ -56,8 +53,10 @@ class AlphaProfile(ABC):
     profile is strictly increasing from 0 (exclusive) at u -> 0 to 1 at
     u = domain_end = turns/2.  A family gives the formula ``_alpha`` and its
     ``derivative``, may list interior ``seams`` where the derivative is not
-    smooth, and may replace the certified Newton ``_inverse`` by a closed form.
-    ``linear_pieces`` says alpha is linear between its seams.
+    smooth, and may replace the bisecting ``_inverse`` by a closed form.
+    ``linear_pieces`` says alpha is linear between its seams, and that
+    ``_inverse`` is closed; the oracle tests the other, curved, families
+    forward, through ``_alpha`` alone.
     """
 
     linear_pieces = False
@@ -107,41 +106,7 @@ class AlphaProfile(ABC):
         return np.array([0.0, self.domain_end])
 
     def _inverse(self, v: np.ndarray) -> np.ndarray:
-        """A tabulated first guess, two Newton steps, and a bracket that certifies each root.
-
-        alpha is increasing, so alpha(u - d) < v <= alpha(u + d) proves that the
-        root lies within d of u whether or not Newton converged; a residual alone
-        would not, where alpha' is small.  Points that fail go to :meth:`_bisect`.
-        """
-        end, d = self.domain_end, _CERTIFY_DELTA
-        flat = v.reshape(-1)
-        u = self._first_guess(flat)
-        for _ in range(2):
-            u = np.clip(u - (self._alpha(u) - flat) / self.derivative(u), 0.0, end)
-        certified = (((u <= d) | (self._alpha(u - d) < flat))
-                     & ((u >= end - d) | (flat <= self._alpha(u + d))))
-        if not certified.all():
-            fails = ~certified
-            u[fails] = self._bisect(flat[fails])
-        return u.reshape(v.shape)
-
-    @functools.cached_property
-    def _guess_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """u at the uniform heights k / (_GUESS_KNOTS - 1), and its steps, built once per profile."""
-        knots = np.linspace(0.0, self.domain_end, _GUESS_KNOTS)  # sorted heights: a cheap interp
-        u_at = np.interp(np.linspace(0.0, 1.0, _GUESS_KNOTS), self._alpha(knots), knots)
-        return u_at, np.diff(u_at)
-
-    def _first_guess(self, v: np.ndarray) -> np.ndarray:
-        """alpha^{-1} from :attr:`_guess_table`; v finds its cell by floor(v * steps), not a search."""
-        steps = _GUESS_KNOTS - 1
-        u_at, du = self._guess_table
-        x = v * steps
-        cell = np.minimum(x.astype(np.intp), steps - 1)
-        return u_at[cell] + (x - cell) * du[cell]
-
-    def _bisect(self, v: np.ndarray) -> np.ndarray:
-        """The root by 64 halvings of [0, domain_end]: the fallback of :meth:`_inverse`."""
+        """The root by 64 halvings of [0, domain_end]; a family with a closed form replaces it."""
         lo = np.zeros_like(v)
         hi = np.full_like(v, self.domain_end)
         for _ in range(_INVERSE_BISECTIONS):
@@ -329,6 +294,12 @@ class CurveSpec:
 
     @classmethod
     def from_json(cls, data: dict) -> "CurveSpec":
+        """A spec from a JSON object with keys from family, turns, lambda, k, parts, samples."""
+        keys = ("family", "turns", "lambda", "k", "parts", "samples")
+        if not isinstance(data, dict):
+            raise ValueError(f"a curve spec must be a JSON object, got {type(data).__name__}")
+        if unknown := sorted(map(str, set(data) - set(keys))):
+            raise ValueError(f"unknown curve spec keys {unknown}, expected keys from {', '.join(keys)}")
         return cls(
             family=data.get("family"),
             turns=data.get("turns", 1.0),
@@ -356,36 +327,33 @@ def contains(spec: CurveSpec, p: DiskPoint) -> bool:
     return mod1(mod1(c.u) - t) < 1.0 / spec.parts
 
 
-def branch_polylines(spec: CurveSpec, n: int) -> np.ndarray:
-    """Polar samples of every branch: shape (parts, n, 2), rows (r, phi).
+def branch_polyline(spec: CurveSpec, n: int) -> np.ndarray:
+    """Polar samples of branch 0: shape (n, 2), rows (r, phi).
 
-    Branch j is branch 0 rotated by 2 pi j / parts.  Points on branch 0 are
-    taken at u = (i+1)/n * turns/2, so the last point sits on the disk rim.
-    The angle is not reduced modulo 2 pi.
+    Points are taken at u = (i+1)/n * turns/2, so the last point sits on the
+    disk rim.  The angle phi = 2 pi u is not reduced modulo 2 pi.
     """
     n = integer("points per branch", n, 2, math.inf)
     profile = spec.alpha_profile()
     u = (np.arange(1, n + 1) / n) * profile.domain_end
-    out = np.empty((spec.parts, n, 2))
-    out[:, :, 0] = np.sqrt(profile._alpha(u) / math.pi)
-    out[:, :, 1] = 2.0 * math.pi * (u + (np.arange(spec.parts) / spec.parts)[:, None])
-    return out
+    return np.stack((np.sqrt(profile._alpha(u) / math.pi), 2.0 * math.pi * u), axis=1)
 
 
 def beta_polyline(spec: CurveSpec, n: int) -> list[DiskPoint]:
     """Sample the symbol's boundary: n disk points per branch, all branches.
 
-    The points of :func:`branch_polylines`, branch after branch.
+    Branch j is :func:`branch_polyline` rotated by 2 pi j / parts, branch after branch.
     """
-    return [DiskPoint(r=float(r), phi=float(phi))
-            for r, phi in branch_polylines(spec, n).reshape(-1, 2)]
+    branch = branch_polyline(spec, n)
+    return [DiskPoint(r=float(r), phi=float(phi + 2.0 * math.pi * j / spec.parts))
+            for j in range(spec.parts) for r, phi in branch]
 
 
 def polyline_turning_angles(polar: np.ndarray) -> np.ndarray:
     """Unsigned angles (radians) between consecutive chords of a polyline.
 
-    ``polar`` is an (n, 2) array of (r, phi) vertices, as one branch of
-    :func:`branch_polylines`.
+    ``polar`` is an (n, 2) array of (r, phi) vertices, as from
+    :func:`branch_polyline`.
     """
     r, phi = polar[:, 0], polar[:, 1]
     chords = np.diff(np.stack((r * np.cos(phi), r * np.sin(phi)), axis=1), axis=0)

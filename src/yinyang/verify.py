@@ -75,7 +75,7 @@ import numpy as np
 
 from . import __version__
 from .circle_sets import BLOCK, MAX_Q, _prefix_sums, _sums_below
-from .curves import AlphaProfile, CurveSpec, Table, branch_polylines, polyline_turning_angles
+from .curves import AlphaProfile, CurveSpec, Table, branch_polyline, polyline_turning_angles
 from .geometry import finite, integer, mod1
 
 AXIOM_IDS = ("A1", "A2", "A3", "A3''", "A4", "A5")
@@ -481,7 +481,7 @@ def check_axioms(
     # A5: sampling-regularity surrogate for smoothness, per branch (the jump from one
     # branch's rim to the next branch's center is not a turn).  Branch j is branch 0
     # rotated by j/parts of a turn, which moves no turning angle, so branch 0 stands for all.
-    angles = polyline_turning_angles(branch_polylines(spec, POLYLINE_POINTS)[0])
+    angles = polyline_turning_angles(branch_polyline(spec, POLYLINE_POINTS))
     max_angle = float(np.max(angles, initial=0.0))
     axioms["A5"] = AxiomVerdict(
         passed=max_angle <= TURNING_ANGLE_TOL,
@@ -572,13 +572,33 @@ def _frac(x: np.ndarray) -> np.ndarray:
     return x - np.floor(x)
 
 
+def _forward(profile: AlphaProfile, x: np.ndarray, v: np.ndarray, length: float) -> np.ndarray:
+    """Whether (x, v) lies in the first part, from alpha alone: no inverse.
+
+    The part holds (x, v) when t = alpha^{-1}(v) lies in (x + j - L, x + j] for
+    some integer j, and alpha increases, so that is
+    alpha(clip(x + j - L)) < v <= alpha(clip(x + j)), the ends clipped to
+    [0, domain_end].  Only 0 <= j < ceil(domain_end + L) can hold.  Every
+    curved family spans one turn, so that is j = 0 alone, and a search for j
+    is not needed.
+    """
+    end = profile.domain_end
+    inside = np.zeros(x.shape, dtype=bool)
+    for j in range(math.ceil(end + length)):
+        below = profile._alpha(np.clip(x + (j - length), 0.0, end)) < v
+        inside |= below & (v <= profile._alpha(np.clip(x + j, 0.0, end)))
+    return inside
+
+
 def monte_carlo_overlap(spec: CurveSpec, g: float, samples: int, seed: int) -> OracleEstimate:
     """Estimate the overlap measure at axis g by uniform sampling of the disk.
 
     The disk-to-cylinder map is measure-preserving, so a uniform point of the
     disk is a uniform point (u, v) = (U', U) of the cylinder, and the points
     are drawn there directly.  It counts those lying in the first part
-    together with their reflection.  Reproducible for a fixed seed; the
+    together with their reflection: through the closed-form inverse where
+    alpha is linear between its seams, and by :func:`_forward`, with alpha
+    alone, for the curved families.  Reproducible for a fixed seed; the
     standard error is the sample standard deviation over sqrt(samples).
 
     The points are drawn and tested ``BLOCK`` at a time (see the module
@@ -598,9 +618,13 @@ def monte_carlo_overlap(spec: CurveSpec, g: float, samples: int, seed: int) -> O
         n = min(BLOCK, remaining)
         pair = rng.random((n, 2))  # row-major: the stream does not depend on the block size
         v, u = pair[:, 0], pair[:, 1]
-        t = profile._inverse(v)  # v in [0, 1): nothing for the public range check to refuse
-        in_first = _frac(u - t) < length
-        in_reflected = _frac(_frac(g - u) - t) < length
+        if profile.linear_pieces:  # a closed-form inverse
+            t = profile._inverse(v)  # v in [0, 1): nothing for the public range check to refuse
+            in_first = _frac(u - t) < length
+            in_reflected = _frac(_frac(g - u) - t) < length
+        else:
+            in_first = _forward(profile, u, v, length)
+            in_reflected = _forward(profile, _frac(g - u), v, length)
         hits += int(np.count_nonzero(in_first & in_reflected))
         remaining -= n
     p_hat = hits / samples

@@ -175,8 +175,8 @@ def v_quadrature_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
 def bisect_inverse(profile, v) -> np.ndarray:
     """alpha^{-1}(v) by 64 halvings of [0, domain_end] on ``profile.evaluate``.
 
-    The library's inverse takes certified Newton steps and bisects only
-    where the certificate fails, or uses a family's closed form.
+    The library bisects the same way on the unchecked ``_alpha``, or uses a
+    family's closed form; this oracle goes through the checked ``evaluate``.
     """
     v = np.asarray(v, dtype=float)
     lo = np.zeros_like(v)

@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 
 from _oracles import bisect_inverse
 from yinyang.curves import (
-    _GUESS_KNOTS,
     MAX_K,
     MAX_TURNS,
     AlphaProfile,
@@ -266,46 +265,15 @@ def test_constructors_prove_the_monotonicity_a2_relies_on(profile):
     assert np.all(np.diff(profile.evaluate(u)) > 0.0)
 
 
-INVERSE_BOUND = 1e-14  # the certificate's half-width is 4e-15; bisection's own noise is below
+INVERSE_BOUND = 1e-14  # both bisect [0, domain_end] to rounding, on _alpha and on evaluate
 
 
 @pytest.mark.parametrize("profile", [pytest.param(Sine(0.2499), id="sine-0.2499")] + [
     pytest.param(Ck(0.999 * CK_LAMBDA_MAX[k], k), id=f"ck{k}-0.999max") for k in range(4)])
 def test_inverse_matches_bisection_near_the_monotonicity_limit(profile):
-    # alpha' falls to about 1e-3 here: two uncertified Newton steps were up to 1.2e-2 off
+    # alpha' falls to about 1e-3 here, where a rounding error in v moves the root most
     v = np.random.default_rng(20261018).random(100_000)
     assert np.max(np.abs(profile.inverse(v) - bisect_inverse(profile, v))) <= INVERSE_BOUND
-
-
-class _SteepSine(Sine):
-    """A sine profile whose derivative is 10x too steep, so Newton only crawls."""
-
-    def derivative(self, u):
-        return 10.0 * super().derivative(u)
-
-    def _bisect(self, v):
-        self.bisected = v.size
-        return super()._bisect(v)
-
-
-def test_inverse_falls_back_to_bisection_where_the_bracket_fails():
-    profile = _SteepSine(0.1)
-    v = np.random.default_rng(20261019).random(100_000)
-    assert np.max(np.abs(profile.inverse(v) - bisect_inverse(profile, v))) <= INVERSE_BOUND
-    assert profile.bisected > 90_000
-
-
-@pytest.mark.parametrize("profile", [Sine(0.1), Ck(1.0, 2)], ids=["sine", "ck"])
-def test_inverse_builds_its_guess_table_once(profile, monkeypatch):
-    # a scalar inverse spent more than half its time rebuilding the 4097-point table
-    sizes = []
-    alpha = profile._alpha
-    monkeypatch.setattr(profile, "_alpha", lambda u: sizes.append(np.size(u)) or alpha(u))
-    first = profile.inverse(0.3)
-    assert _GUESS_KNOTS in sizes
-    sizes.clear()
-    assert profile.inverse(0.3) == first
-    assert sizes == [1, 1, 1, 1]  # two Newton steps and the two sides of the bracket
 
 
 @pytest.mark.parametrize("profile", [
@@ -455,6 +423,19 @@ def test_spec_json_round_trip():
     ]
     for spec in specs:
         assert CurveSpec.from_json(json.loads(json.dumps(spec.to_json()))) == spec
+
+
+@pytest.mark.parametrize("data, match", [
+    ([1, 2], "must be a JSON object, got list"),
+    ("fermat", "must be a JSON object, got str"),
+    (None, "must be a JSON object, got NoneType"),
+    ({"family": "fermat", "part": 3}, r"unknown curve spec keys \['part'\]"),
+    ({"family": "sine", "lam": 0.1}, r"unknown curve spec keys \['lam'\]"),
+])
+def test_spec_from_json_refuses_what_it_cannot_read(data, match):
+    # a misspelt key must not fall back to its default: "part": 3 would read as 2 parts
+    with pytest.raises(ValueError, match=match):
+        CurveSpec.from_json(data)
 
 
 # -- sections and membership ------------------------------------------------------------

@@ -23,13 +23,14 @@ from _oracles import (
 from yinyang import verify
 from yinyang.circle_sets import MAX_Q, CircleSet, arc_reflection_overlap_into
 from yinyang.curves import (
+    AlphaProfile,
     Ck,
     CurveSpec,
     Fermat,
     Sine,
     Table,
     beta_polyline,
-    branch_polylines,
+    branch_polyline,
     polyline_turning_angles,
 )
 from yinyang.geometry import MAX_PARTS, mod1
@@ -169,7 +170,7 @@ SIZE_ARGUMENTS = [  # (name in the message, call with the size argument set to x
     ("quadrature nodes", lambda x: knot_count(Fermat(1.0), x)),
     ("samples", lambda x: monte_carlo_overlap(SPEC, g=0.3, samples=x, seed=1)),
     ("q_max", lambda x: rotation_check(SPEC, x)),
-    ("points per branch", lambda x: branch_polylines(SPEC, x)),
+    ("points per branch", lambda x: branch_polyline(SPEC, x)),
 ]
 
 
@@ -1017,6 +1018,53 @@ def test_oracle_equals_the_estimate_through_the_public_inverse(spec):
             assert est.value == _public_inverse_overlap(spec, g, 3 * BLOCK + 7, seed), (g, seed)
 
 
+def _ck_spec(share, k, parts):
+    """A ck spec at ``share`` of the largest lambda its constructor accepts for order k."""
+    worst = 0.125 + 0.125 / math.sqrt(2 * k + 1)
+    lam_max = 2.0 / ((k + 1) * (worst * (0.25 - worst)) ** k * (2.0 * worst - 0.25))
+    return CurveSpec(family="ck", lam=share * lam_max, k=k, parts=parts)
+
+
+@settings(max_examples=25, deadline=None)
+@given(spec=st.one_of(
+    st.builds(lambda lam, parts: CurveSpec(family="sine", lam=lam, parts=parts),
+              st.floats(1e-3, 0.249), st.integers(2, 6)),
+    st.builds(_ck_spec, st.floats(1e-3, 0.999), st.integers(0, 3), st.integers(2, 6))),
+    g=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_forward_oracle_equals_the_public_inverse_on_curved_profiles(spec, g, seed):
+    # sine and ck test membership through alpha alone; the public inverse bisects
+    samples = BLOCK + 7
+    assert monte_carlo_overlap(spec, g=g, samples=samples, seed=seed).value == \
+        _public_inverse_overlap(spec, g, samples, seed)
+
+
+class _TwoTurnWave(Sine):
+    """A curved test profile over two turns, u + (0.05/pi) sin(4 pi u) on [0, 1].
+
+    It derives from Sine, so the package's families stay AlphaProfile's only
+    direct subclasses (test_curves checks them by name for the tracer).
+    """
+
+    def __init__(self):
+        AlphaProfile.__init__(self, 2.0)
+
+    def _alpha(self, u):
+        return u + (0.05 / math.pi) * np.sin(4.0 * math.pi * u)
+
+    def derivative(self, u):
+        return 1.0 + 0.2 * np.cos(4.0 * math.pi * u)
+
+
+@pytest.mark.parametrize("parts", range(2, 7))
+def test_forward_membership_over_every_copy_of_a_two_turn_profile(parts):
+    # domain_end + L > 1, so the copy loop runs twice; no family in the package spans two turns
+    profile, length = _TwoTurnWave(), 1.0 / parts
+    u, v = np.random.default_rng(parts).random((2, 100_000))
+    inside = verify._forward(profile, u, v, length)
+    assert np.array_equal(inside, _frac(u - profile.inverse(v)) < length)
+    assert 0.0 < inside.mean() < 1.0
+
+
 @pytest.mark.parametrize("spec", ORACLE_BLOCK_SPECS, ids=lambda s: s.family)
 def test_oracle_memory_does_not_grow_with_samples(spec):
     # one 1e6-sample pass would hold a 16 MB sample pair and 8 MB temporaries
@@ -1107,9 +1155,10 @@ def test_a5_max_angle_matches_disk_point_polyline(spec):
 def test_a5_witness_is_the_largest_angle_over_every_branch(spec, parts):
     # A5 reads branch 0 alone; its rotated copies move the angles only by rounding
     spec = dataclasses.replace(spec, parts=parts)
+    branch = branch_polyline(spec, POLYLINE_POINTS)
     expected = 0.0
-    for branch in branch_polylines(spec, POLYLINE_POINTS):  # the per-branch loop A5 ran before
-        angles = polyline_turning_angles(branch)
+    for j in range(parts):  # branch j is branch 0 turned by j/parts
+        angles = polyline_turning_angles(branch + [0.0, 2.0 * math.pi * j / parts])
         if len(angles):
             expected = max(expected, float(np.max(angles)))
     report = check_axioms(spec, g_grid=8, v_quadrature=101)
