@@ -321,10 +321,9 @@ def section(spec: CurveSpec, v: float) -> CircleSet:
 
 
 def contains(spec: CurveSpec, p: DiskPoint) -> bool:
-    """Membership of a disk point in the first part of the symbol."""
+    """Membership of a disk point (u, v) in the first part: u in the part's slice at v."""
     c = disk_to_cylinder(p)
-    t = spec.alpha_profile().inverse(c.v)
-    return mod1(mod1(c.u) - t) < 1.0 / spec.parts
+    return section(spec, c.v).contains(c.u)
 
 
 def branch_polyline(spec: CurveSpec, n: int) -> np.ndarray:

@@ -54,15 +54,11 @@ Axioms checked by ``check_axioms``:
 * A5   -- sampling-regularity surrogate for smoothness: bounded turning
           angles of the sampled boundary polyline.  Not a certificate.
 
-Relation residuals (ids are the report keys):
-
-* eq_alal   -- alpha(u + 1/4) = alpha(u) + 1/2            (one turn)
-* eq_mm     -- m(u) = m(u + 1/2) for the slice measure m  (one turn)
-* eq_alalal -- 1/2 + alpha(u) + alpha(u+1/2) = alpha(u+1/4) + alpha(u+3/4)
-               (two turns)
-* eq_sigma  -- sigma(u+1/2) = 1/2 - sigma(u) with sigma(u) = alpha(u+1/4) - alpha(u)
-               (two turns)
-* eq_al3    -- alpha(u) + alpha(u+1/2) = alpha(u+1/4) + 1/2  (3/2 turns)
+Relation residuals (``RELATIONS``, keyed by report id): the quarter-shift law
+eq_alal and its slice form eq_mm at one turn, the two-turn analogues eq_alalal
+and eq_sigma, and the 3/2-turn analogue eq_al3.  Each entry holds the turn
+count the relation applies to, the end of its domain and its residual
+LHS - RHS; ``relation_residual`` takes the sup of |residual| on a grid of it.
 """
 
 from __future__ import annotations
@@ -80,15 +76,6 @@ from .geometry import finite, integer, mod1
 
 AXIOM_IDS = ("A1", "A2", "A3", "A3''", "A4", "A5")
 
-#: Turn count each relation applies to, in report order.
-RELATION_TURNS = {
-    "eq_alal": 1.0,
-    "eq_mm": 1.0,
-    "eq_alalal": 2.0,
-    "eq_sigma": 2.0,
-    "eq_al3": 1.5,
-}
-RELATION_IDS = tuple(RELATION_TURNS)
 #: A turn count within this of a relation's count takes that relation.
 TURN_TOLERANCE = 1e-12
 
@@ -307,33 +294,31 @@ def _grid(lo: float, hi: float) -> np.ndarray:
     return lo + (hi - lo) * (np.arange(1, RESIDUAL_GRID + 1) / RESIDUAL_GRID)
 
 
+#: Each relation, in report order: the turn count it applies to, the end of its
+#: domain (0, end] and its residual LHS - RHS on a profile p at u.
+RELATIONS = {
+    "eq_alal": (1.0, 0.25, lambda p, u: p._alpha(u + 0.25) - p._alpha(u) - 0.5),
+    "eq_mm": (1.0, 0.5, lambda p, u: m_function(p, u) - m_function(p, u + 0.5)),
+    "eq_alalal": (2.0, 0.25, lambda p, u: 0.5 + p._alpha(u) + p._alpha(u + 0.5)
+                  - p._alpha(u + 0.25) - p._alpha(u + 0.75)),
+    # sigma(u + 1/2) = 1/2 - sigma(u), with sigma(x) = alpha(x + 1/4) - alpha(x)
+    "eq_sigma": (2.0, 0.25, lambda p, u: (p._alpha(u + 0.5 + 0.25) - p._alpha(u + 0.5))
+                 - (0.5 - (p._alpha(u + 0.25) - p._alpha(u)))),
+    "eq_al3": (1.5, 0.25, lambda p, u: p._alpha(u) + p._alpha(u + 0.5) - p._alpha(u + 0.25) - 0.5),
+}
+
+
 def relation_residual(profile: AlphaProfile, relation: str) -> float:
     """Sup of |LHS - RHS| of the named relation over a dense grid of its domain."""
-    if relation not in RELATION_TURNS:
-        raise ValueError(f"unknown relation {relation!r}, expected one of {RELATION_IDS}")
-    _require_turns(profile, relation, RELATION_TURNS[relation])
-    a = profile._alpha
-    if relation == "eq_alal":
-        u = _grid(0.0, 0.25)
-        res = a(u + 0.25) - a(u) - 0.5
-    elif relation == "eq_mm":
-        u = _grid(0.0, 0.5)
-        res = m_function(profile, u) - m_function(profile, u + 0.5)
-    elif relation == "eq_alalal":
-        u = _grid(0.0, 0.25)
-        res = 0.5 + a(u) + a(u + 0.5) - a(u + 0.25) - a(u + 0.75)
-    elif relation == "eq_sigma":
-        u = _grid(0.0, 0.25)
-        sigma = lambda x: a(x + 0.25) - a(x)
-        res = sigma(u + 0.5) - (0.5 - sigma(u))
-    else:  # eq_al3
-        u = _grid(0.0, 0.25)
-        res = a(u) + a(u + 0.5) - a(u + 0.25) - 0.5
-    return float(np.max(np.abs(res)))
+    if relation not in RELATIONS:
+        raise ValueError(f"unknown relation {relation!r}, expected one of {tuple(RELATIONS)}")
+    turns, end, residual = RELATIONS[relation]
+    _require_turns(profile, relation, turns)
+    return float(np.max(np.abs(residual(profile, _grid(0.0, end)))))
 
 
 def applicable_relations(turns: float) -> tuple[str, ...]:
-    return tuple(r for r, t in RELATION_TURNS.items() if abs(turns - t) <= TURN_TOLERANCE)
+    return tuple(r for r, (t, _, _) in RELATIONS.items() if abs(turns - t) <= TURN_TOLERANCE)
 
 
 # -- axiom verdicts -----------------------------------------------------------

@@ -14,7 +14,10 @@ from yinyang.render import (
     RENDER_PRESETS,
     MAX_SPIRAL_STEPS,
     RenderConfig,
+    _catmull_rom_segments,
     _dedupe,
+    _fmt,
+    _turned,
     default_interpol,
     render,
     spiral_points,
@@ -97,6 +100,34 @@ def test_dedupe_drops_the_origin_and_closing_repeats(k):
 def test_dedupe_matches_the_loop_it_replaced(turn, interpol):
     points = spiral_points(turn, interpol)
     assert np.array_equal(_dedupe(points), loop_dedupe(points))
+
+
+def _segments(path: str) -> list[list[str]]:
+    """The six tokens c1, c2 and end point of each 'C' command."""
+    tokens = path.split()
+    return [tokens[i + 1 : i + 7] for i in range(0, len(tokens), 7)]
+
+
+_scaled_points = st.builds(
+    lambda xy, scale: np.array(xy) * scale,
+    st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)), min_size=2, max_size=40),
+    st.floats(1e-7, 200.0),
+)
+_scaled_branches = st.builds(
+    lambda turn, k, degrees, scale: _turned(_dedupe(spiral_points(turn, 1.0 / k)), degrees) * scale,
+    st.floats(0.05, 8.0), st.integers(1, 64), st.floats(-360.0, 360.0), st.floats(1e-7, 200.0),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(points=st.one_of(_scaled_points, _scaled_branches))
+def test_reversed_path_reuses_the_forward_tokens(points):
+    # reversed, a segment's control points are the forward c2 and c1 (the tangents only change
+    # sign, exactly), so its tokens are the forward ones; tiny scales reach the zero snap
+    forward = _segments(_catmull_rom_segments(points))
+    starts = [[_fmt(x), _fmt(y)] for x, y in points[:-1]]
+    expected = [c[2:4] + c[0:2] + start for c, start in zip(forward, starts)][::-1]
+    assert _segments(_catmull_rom_segments(points[::-1])) == expected
 
 
 # -- documents -----------------------------------------------------------------

@@ -656,6 +656,16 @@ def test_relations_read_alpha_past_a_domain_end_within_the_turn_tolerance(turns)
         assert relation_residual(profile, relation) <= 1e-9
 
 
+@settings(max_examples=50, deadline=None)
+@given(one=tables(turns=1.0), two=tables(turns=2.0))
+def test_restated_relations_read_the_relations_they_restate(one, two):
+    # m(u) - m(u + 1/2) = -2 (alpha(u/2 + 1/4) - alpha(u/2) - 1/2), on eq_alal's grid points,
+    # and sigma's law is eq_alalal rearranged: a relation wired to another's formula fails here
+    one, two = (CurveSpec(family="custom", samples=s).alpha_profile() for s in (one, two))
+    assert abs(relation_residual(one, "eq_mm") - 2.0 * relation_residual(one, "eq_alal")) <= 1e-14
+    assert abs(relation_residual(two, "eq_sigma") - relation_residual(two, "eq_alalal")) <= 1e-14
+
+
 def test_residual_unknown_relation():
     with pytest.raises(ValueError, match="unknown relation"):
         relation_residual(Fermat(1.0), "eq_bogus")
