@@ -58,11 +58,10 @@ def _add_curve_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _read_json(path: Path):
-    """The JSON document in a file; text that does not parse is a ValueError naming the file."""
-    text = path.read_text()
+    """The JSON document in a file; bytes that are not UTF-8 JSON are a ValueError naming the file."""
     try:
-        return json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nesting too deep
+        return json.loads(path.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nesting too deep
         raise ValueError(f"{path} is not readable JSON: {exc}") from None
 
 

@@ -51,9 +51,9 @@ class AlphaProfile(ABC):
     an argument outside their domain; the package calls the unchecked
     ``_alpha`` and ``_inverse`` on the points it makes itself.  The
     profile is strictly increasing from 0 (exclusive) at u -> 0 to 1 at
-    u = domain_end = turns/2.  A family gives the formula ``_alpha`` and its
-    ``derivative``, may list interior ``seams`` where the derivative is not
-    smooth, and may replace the bisecting ``_inverse`` by a closed form.
+    u = domain_end = turns/2.  A family gives the formula ``_alpha``, may list
+    interior ``seams`` where alpha is not smooth, and may replace the bisecting
+    ``_inverse`` by a closed form.
     ``linear_pieces`` says alpha is linear between its seams, and that
     ``_inverse`` is closed; the oracle tests the other, curved, families
     forward, through ``_alpha`` alone.
@@ -97,10 +97,6 @@ class AlphaProfile(ABC):
     def _alpha(self, u: np.ndarray) -> np.ndarray:
         """alpha(u) on an array of u."""
 
-    @abstractmethod
-    def derivative(self, u: np.ndarray) -> np.ndarray:
-        """alpha'(u) on an array of u in [0, domain_end]; the left limit at a seam."""
-
     def seams(self) -> np.ndarray:
         """Ends of the pieces on which alpha is smooth: 0, interior seams, domain_end."""
         return np.array([0.0, self.domain_end])
@@ -128,9 +124,6 @@ class Fermat(AlphaProfile):
     def _alpha(self, u):
         return (2.0 / self.turns) * u
 
-    def derivative(self, u):
-        return np.full_like(u, 2.0 / self.turns)
-
     def _inverse(self, v):
         return (self.turns / 2.0) * v
 
@@ -146,9 +139,6 @@ class Sine(AlphaProfile):
 
     def _alpha(self, u):
         return 2.0 * u + (self.lam / math.pi) * np.sin(8.0 * math.pi * u)
-
-    def derivative(self, u):
-        return 2.0 + 8.0 * self.lam * np.cos(8.0 * math.pi * u)
 
 
 class Ck(AlphaProfile):
@@ -166,7 +156,7 @@ class Ck(AlphaProfile):
         self.lam, self.k = lam, integer("smoothness order k", k, 0, MAX_K)
         # on [0, 1/4] the derivative is least at u*, where k (1/4 - 2u)^2 = 2u (1/4 - u)
         worst = 0.125 + 0.125 / math.sqrt(2 * k + 1)
-        deriv = float(self.derivative(worst))
+        deriv = float(self._half_derivative(np.asarray(worst)))
         if deriv <= 0.0:
             raise ValueError(
                 f"lambda={lam} breaks monotonicity: derivative {deriv:.6g} at u={worst:.6g}"
@@ -181,9 +171,6 @@ class Ck(AlphaProfile):
     def _alpha(self, u):
         upper = u > 0.25  # reduce u once and add 1/2 on the upper half
         return 0.5 * upper + self._half(u - 0.25 * upper)
-
-    def derivative(self, u):
-        return self._half_derivative(np.where(u <= 0.25, u, u - 0.25))
 
     def seams(self):
         return np.array([0.0, 0.25, 0.5])
@@ -224,14 +211,9 @@ class Table(AlphaProfile):
         v[-1] = 1.0
         super().__init__(2.0 * float(u[-1]))
         self._u, self._v = u, v
-        self._slopes = np.diff(v) / np.diff(u)
 
     def _alpha(self, u):
         return np.interp(u, self._u, self._v)
-
-    def derivative(self, u):
-        # segment s spans (knot s, knot s + 1]: a knot takes the slope on its left
-        return self._slopes[np.searchsorted(self._u[1:-1], u)]
 
     def seams(self):
         return self._u.copy()

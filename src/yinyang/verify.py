@@ -97,31 +97,18 @@ MAX_MC_SAMPLES = 10_000_000
 
 
 def knot_count(profile: AlphaProfile, n: int) -> int:
-    """How many knots ``profile_knots(profile, n)`` makes, without making them."""
+    """How many knots A4 interpolates alpha on: n rounded up to odd, or the seams if more."""
     n = integer("quadrature nodes", n, 2, MAX_V_QUADRATURE)
     return max(n | 1, len(profile.seams()))
 
 
 def _knot_map(profile: AlphaProfile, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Knot indices and knots of the seams: ``profile_knots`` interpolates between them."""
+    """Knot indices of the seams, and the seams: A4's knot i is np.interp(i, index, seams)."""
     seams = profile.seams()
     cum = np.cumsum(np.diff(seams))
     extra = knot_count(profile, n) - len(seams)
     ends = np.rint(extra * (cum / cum[-1])).astype(np.int64) + np.arange(1, len(cum) + 1)
     return np.append(0, ends), seams
-
-
-def profile_knots(profile: AlphaProfile, n: int) -> np.ndarray:
-    """Knots t in [0, domain_end] of the piecewise-linear interpolant of alpha in A4.
-
-    n is rounded up to odd, m, and the m - 1 intervals go to the pieces between
-    the profile's seams in proportion to length, at least one each (so more
-    pieces than intervals make more knots); pieces of equal length get equal
-    counts whenever the counts allow it.  Every seam is a knot: for fermat and
-    tables the interpolant is alpha, which A4 reads on the seams alone.
-    """
-    index, seams = _knot_map(profile, n)
-    return np.interp(np.arange(index[-1] + 1.0), index, seams)
 
 
 @dataclass(frozen=True)
@@ -135,15 +122,11 @@ class PerfectProfile:
     witness_g: float
     v_nodes: int
 
-    @property
-    def mean(self) -> float:
-        return float(np.mean(self.values))
-
 
 def perfect_profile(
     spec: CurveSpec, g_grid: int = G_GRID, v_quadrature: int = V_QUADRATURE
 ) -> PerfectProfile:
-    """Sample f(g) exactly for the piecewise-linear interpolant of alpha on ``profile_knots``.
+    """Sample f(g) exactly for the piecewise-linear interpolant of alpha on ``_knot_map``'s knots.
 
     A segment of slope s adds s/2 times the change across it of T, the
     antiderivative of the tent of half-width L = 1/parts, as its centres 2t + L
@@ -163,14 +146,14 @@ def perfect_profile(
     centre and adds the sums of D, D c and D c^2 over each cell into one
     (3, 3G + 1) array.  A block makes its knots between seams k and k + 1 as
     seams[k] + step * (i - index[k]), np.interp's multiply-add, so they and
-    every seam are the knots of ``profile_knots`` bit for bit.  Its centres
+    every seam are np.interp's knots on ``_knot_map`` bit for bit.  Its centres
     2 t + L mod 1 are sorted but where they wrap past 1, and only a block in
     which they wrap sorts them: one of the seven at the defaults.  At the end
     one prefix sum over the cells that hold a nonzero sum gives every S_p and,
     as its totals, sum D and sum D c; the ramps are read once, about ``BLOCK``
     queries at a time.  That is O((N + G ceil(N / BLOCK)) log BLOCK
     + G log G) time and O(BLOCK + G) memory.  A profile with ``linear_pieces``
-    is also its interpolant on ``profile_knots(profile, 2)``, its seams (and a
+    is also its interpolant on the knots of ``_knot_map(profile, 2)``, its seams (and a
     midpoint when there are two): N counts those, and ``v_nodes`` the knots of
     ``v_quadrature``.
     """
@@ -406,6 +389,7 @@ def check_axioms(
     which is 1e-6 for closed-form families and 1e-4 for sampled tables
     (interpolation error dominates there); an override must be finite and >= 0.
     """
+    seed = integer("seed", seed, 0, math.inf)
     if flatness_tolerance is not None and finite("flatness tolerance", flatness_tolerance) < 0:
         raise ValueError(f"flatness tolerance must be >= 0, got {flatness_tolerance}")
     profile = spec.alpha_profile()
@@ -593,6 +577,7 @@ def monte_carlo_overlap(spec: CurveSpec, g: float, samples: int, seed: int) -> O
     works element by element.
     """
     samples = integer("samples", samples, 1, MAX_MC_SAMPLES)
+    seed = integer("seed", seed, 0, math.inf)
     g = mod1(finite("reflection axis g", g))
     profile = spec.alpha_profile()
     length = 1.0 / spec.parts

@@ -8,8 +8,9 @@ rotation-invariant parts are formed piece by piece and merged by a sorted
 greedy loop, where the library counts the pieces over each point in one
 sweep.  The A4 profile has three references: the integral over heights v,
 each slice located by a plain bisection of the profile; composite Simpson
-over the curve parameter t, the library's rule before it took the exact
-integral of the profile's piecewise-linear interpolant; and that exact
+over the curve parameter t, weighted by alpha' from each family's closed
+form, the library's rule before it took the exact integral of the
+profile's piecewise-linear interpolant; and that exact
 integral summed segment by segment at every axis, with no sort or prefix
 sum.  For one turn and two parts the paper's quarter-shift law gives A4
 independently, f(g) - 1/4 = -2 integral_0^1/4 rho(t) tent'(g - 2t - 1/2) dt
@@ -35,7 +36,8 @@ from __future__ import annotations
 import numpy as np
 
 from yinyang.circle_sets import EPS, CircleSet, _prefix_sums
-from yinyang.verify import MAX_V_QUADRATURE, profile_knots
+from yinyang.curves import Ck, Fermat, Sine, Table
+from yinyang.verify import MAX_V_QUADRATURE, _knot_map
 
 
 def grid_membership(arcs: list[tuple[float, float]], x: np.ndarray) -> np.ndarray:
@@ -202,11 +204,49 @@ def v_path_profile_values(spec, g_grid: int, v_quadrature: int) -> np.ndarray:
     return one_pass_overlap_sums(centres, w, g, (length, 0.0, -length), (1.0, -2.0, 1.0))
 
 
+def profile_knots(profile, n: int) -> np.ndarray:
+    """Knots t in [0, domain_end] of the piecewise-linear interpolant of alpha in A4.
+
+    n is rounded up to odd, m, and the m - 1 intervals go to the pieces between
+    the profile's seams in proportion to length, at least one each (so more
+    pieces than intervals make more knots); pieces of equal length get equal
+    counts whenever the counts allow it.  Every seam is a knot: for fermat and
+    tables the interpolant is alpha, which A4 reads on the seams alone.  A4
+    makes its knots block by block, and they must equal these bit for bit.
+    """
+    index, seams = _knot_map(profile, n)
+    return np.interp(np.arange(index[-1] + 1.0), index, seams)
+
+
+def alpha_prime(profile, u) -> np.ndarray:
+    """alpha'(u) on u in [0, domain_end] from the closed forms of each family; the left limit at a seam.
+
+    Written from the formulas in the docstring of ``yinyang.curves``, not read
+    from the library, and only for its four families exactly: a subclass may
+    change alpha, so it raises TypeError rather than inherit a parent's alpha'.
+    """
+    u = np.asarray(u, dtype=float)
+    kind = type(profile)
+    if kind is Fermat:  # (2/turns) u
+        return np.full_like(u, 2.0 / profile.turns)
+    if kind is Sine:  # 2u + (lam/pi) sin(8 pi u)
+        return 2.0 + 8.0 * profile.lam * np.cos(8.0 * np.pi * u)
+    if kind is Ck:  # f(u) = 2u + lam (u (1/4 - u))^(k+1) on [0, 1/4], 1/2 + f(u - 1/4) above
+        x = np.where(u <= 0.25, u, u - 0.25)
+        return 2.0 + profile.lam * (profile.k + 1) * (x * (0.25 - x)) ** profile.k * (0.25 - 2.0 * x)
+    if kind is Table:  # linear between its knots: piece s spans (knot s, knot s + 1]
+        knots = profile.seams()
+        slopes = np.diff(profile.evaluate(knots)) / np.diff(knots)
+        return slopes[np.searchsorted(knots[1:-1], u)]
+    raise TypeError(f"no closed-form alpha' for {kind.__name__}")
+
+
 def t_quadrature_rule(profile, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes t in [0, domain_end] and weights w * alpha'(t) for integrals over heights.
 
     A sum over the rule approximates integral_0^1 F(v) dv = integral F(alpha(t)) alpha'(t) dt.
-    The nodes are the library's ``profile_knots``, which hold every seam.
+    The nodes are :func:`profile_knots`, which hold every seam, and alpha' is
+    :func:`alpha_prime`, not the library's.
     Intervals are numbered through all pieces between seams; interval i pairs
     with interval i + 1 for composite Simpson when i is even and both lie in
     one piece, and is a trapezoid when its partner lies in another piece.
@@ -229,12 +269,12 @@ def t_quadrature_rule(profile, n: int) -> tuple[np.ndarray, np.ndarray]:
     left *= right
     right *= 6.0
     right -= left
-    slope = profile.derivative(nodes)  # the left limit at a seam
+    slope = alpha_prime(profile, nodes)  # the left limit at a seam
     w = np.empty_like(nodes)
     np.multiply(left, slope[:-1], out=w[:-1])
     w[-1] = 0.0
     seam = starts[1:]  # an interval starting at a seam takes alpha' one ulp to its right
-    w[seam] += left[seam] * (profile.derivative(np.nextafter(seams[1:-1], np.inf)) - slope[seam])
+    w[seam] += left[seam] * (alpha_prime(profile, np.nextafter(seams[1:-1], np.inf)) - slope[seam])
     right *= slope[1:]
     w[1:] += right
     return nodes, w

@@ -431,7 +431,8 @@ def test_parts_over_cap_exit_two(argv, tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("text", ["[" * 100_000, "not json"], ids=["deeply-nested", "not-json"])
+@pytest.mark.parametrize("text", [b"[" * 100_000, b"not json", b"\xff\xfe[[0.5,1.0]]"],
+                         ids=["deeply-nested", "not-json", "not-utf-8"])
 @pytest.mark.parametrize(
     "argv",
     [
@@ -441,11 +442,18 @@ def test_parts_over_cap_exit_two(argv, tmp_path, capsys):
 )
 def test_unreadable_json_file_exits_two_naming_it(argv, text, tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text(text)
+    bad.write_bytes(text)
     argv = [str(bad) if a == "FILE" else a for a in argv]
     if argv[0] == "render":
         argv += ["--out", str(tmp_path / "x.svg")]
     _assert_usage_error(argv, str(bad), capsys)
+
+
+@pytest.mark.parametrize("argv", [["oracle", "--g", "0.3", "--mc-samples", "100"], ["verify", *FAST_VERIFY]],
+                         ids=["oracle", "verify"])
+def test_negative_seed_exits_two_naming_it(argv, capsys):
+    # numpy's "expected non-negative integer" named no flag, and verify recorded any seed
+    _assert_usage_error([*argv, "--seed", "-1"], "seed must be an integer", capsys)
 
 
 def test_q_max_over_cap_refused_before_any_work(monkeypatch, capsys):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from _oracles import bisect_inverse
+from _oracles import alpha_prime, bisect_inverse
 from yinyang.curves import (
     MAX_K,
     MAX_TURNS,
@@ -299,14 +299,15 @@ def test_inverse_matches_bisection_sweep(profile):
     Fermat(1.0), Fermat(1.5), Sine(0.24), Ck(7.9, 0), Ck(1.0, 1), Ck(1.0, 3), Table(_quadratic_table(33)),
 ], ids=lambda p: type(p).__name__)
 def test_derivative_matches_difference_quotients(profile):
-    # central differences of evaluate on each smooth piece, away from its seams
+    # the t-rule oracle weights by alpha_prime: central differences of evaluate
+    # on each smooth piece, away from its seams
     seams = profile.seams()
     assert seams[0] == 0.0 and seams[-1] == profile.domain_end and np.all(np.diff(seams) > 0.0)
     h = 1e-6
     for a, b in zip(seams[:-1], seams[1:]):
         u = np.linspace(a + 2 * h, b - 2 * h, 7)
         quotient = (profile.evaluate(u + h) - profile.evaluate(u - h)) / (2 * h)
-        assert np.max(np.abs(profile.derivative(u) - quotient)) <= 1e-6
+        assert np.max(np.abs(alpha_prime(profile, u) - quotient)) <= 1e-6
 
 
 def test_seams_and_one_sided_derivatives():
@@ -316,10 +317,10 @@ def test_seams_and_one_sided_derivatives():
     table = Table([(0.1, 0.3), (0.25, 0.5), (0.5, 1.0)])
     assert list(table.seams()) == [0.0, 0.1, 0.25, 0.5]  # the (0, 0) anchor is a knot
     # a seam takes the slope of the piece on its left
-    assert list(table.derivative(np.array([0.0, 0.1, 0.2, 0.25, 0.5]))) == pytest.approx([3.0, 3.0, 4 / 3, 4 / 3, 2.0])
+    assert list(alpha_prime(table, [0.0, 0.1, 0.2, 0.25, 0.5])) == pytest.approx([3.0, 3.0, 4 / 3, 4 / 3, 2.0])
     ck = Ck(4.0, 0)
-    assert list(ck.derivative(np.array([0.0, 0.25, 0.5]))) == pytest.approx([3.0, 1.0, 1.0])
-    assert ck.derivative(np.nextafter(np.array([0.25]), 1.0))[0] == pytest.approx(3.0)
+    assert list(alpha_prime(ck, [0.0, 0.25, 0.5])) == pytest.approx([3.0, 1.0, 1.0])
+    assert alpha_prime(ck, np.nextafter(0.25, 1.0)) == pytest.approx(3.0)
 
 
 # -- family types ---------------------------------------------------------------------

@@ -9,9 +9,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from _oracles import (
+    alpha_prime,
     bisect_inverse,
     interpolant_profile_values,
     one_pass_profile_values,
+    profile_knots,
     quarter_shift_profile_values,
     quarter_shift_sup,
     radial_crossings,
@@ -54,7 +56,6 @@ from yinyang.verify import (
     m_function,
     monte_carlo_overlap,
     perfect_profile,
-    profile_knots,
     radial_crossing_range,
     reduced_rotations,
     relation_residual,
@@ -107,7 +108,7 @@ def test_quadrature_seams_take_one_sided_slopes():
 
 def test_quadrature_rejects_tiny_n():
     with pytest.raises(ValueError):
-        profile_knots(Fermat(1.0), 1)
+        knot_count(Fermat(1.0), 1)
 
 
 def test_quadrature_node_budget():
@@ -144,7 +145,7 @@ def _raises_without_allocating(match, fn, *args, **kwargs):
 
 def test_work_sizes_are_capped():
     spec = CurveSpec(family="fermat")
-    _raises_without_allocating("quadrature nodes", profile_knots, Fermat(1.0), MAX_V_QUADRATURE + 1)
+    _raises_without_allocating("quadrature nodes", knot_count, Fermat(1.0), MAX_V_QUADRATURE + 1)
     _raises_without_allocating(
         "quadrature nodes", perfect_profile, spec, g_grid=8, v_quadrature=MAX_V_QUADRATURE + 1
     )
@@ -159,7 +160,7 @@ def test_work_sizes_are_capped():
 
 
 SPEC = CurveSpec(family="fermat")
-SIZE_ARGUMENTS = [  # (name in the message, call with the size argument set to x)
+SIZE_ARGUMENTS = [  # (name in the message, call with the size or seed argument set to x)
     ("parts", lambda x: CurveSpec(family="fermat", parts=x)),
     ("parts", lambda x: RenderConfig(parts=x)),
     ("smoothness order k", lambda x: Ck(1.0, x)),
@@ -171,6 +172,9 @@ SIZE_ARGUMENTS = [  # (name in the message, call with the size argument set to x
     ("samples", lambda x: monte_carlo_overlap(SPEC, g=0.3, samples=x, seed=1)),
     ("q_max", lambda x: rotation_check(SPEC, x)),
     ("points per branch", lambda x: branch_polyline(SPEC, x)),
+    # numpy took True as 1 and refused 4.5 with a TypeError; check_axioms recorded any seed
+    ("seed", lambda x: monte_carlo_overlap(SPEC, g=0.3, samples=10, seed=x)),
+    ("seed", lambda x: check_axioms(SPEC, seed=x)),
 ]
 
 
@@ -220,7 +224,7 @@ def test_profile_mean_matches_measure_squared():
         CurveSpec(family="custom", samples=quad_table()),
     ):
         prof = perfect_profile(spec, **FAST)
-        assert prof.mean == pytest.approx((1.0 / spec.parts) ** 2, abs=1e-7)
+        assert np.mean(prof.values) == pytest.approx((1.0 / spec.parts) ** 2, abs=1e-7)
 
 
 def gxv_profile_values(spec, g_grid, v_quadrature):
@@ -369,7 +373,7 @@ def test_ck_seam_split_keeps_the_profile_flat():
     # the profile is about 7e-5 off at 5001 nodes, split there it is flat to rounding
     lam = 7.99  # the profile is increasing for lambda < 8
     spec = CurveSpec(family="ck", lam=lam, k=0)
-    assert Ck(lam, 0).derivative(np.array([0.25]))[0] == pytest.approx(2.0 - lam / 4.0)
+    assert alpha_prime(Ck(lam, 0), np.array([0.25]))[0] == pytest.approx(2.0 - lam / 4.0)
     assert perfect_profile(spec, v_quadrature=5001).max_deviation <= 1e-12
 
 
@@ -1061,9 +1065,6 @@ class _TwoTurnWave(Sine):
     def _alpha(self, u):
         return u + (0.05 / math.pi) * np.sin(4.0 * math.pi * u)
 
-    def derivative(self, u):
-        return 1.0 + 0.2 * np.cos(4.0 * math.pi * u)
-
 
 @pytest.mark.parametrize("parts", range(2, 7))
 def test_forward_membership_over_every_copy_of_a_two_turn_profile(parts):
@@ -1073,6 +1074,12 @@ def test_forward_membership_over_every_copy_of_a_two_turn_profile(parts):
     inside = verify._forward(profile, u, v, length)
     assert np.array_equal(inside, _frac(u - profile.inverse(v)) < length)
     assert 0.0 < inside.mean() < 1.0
+
+
+def test_alpha_prime_refuses_a_family_subclass():
+    # a subclass may change alpha, as this one does, so it gets no parent's alpha'
+    with pytest.raises(TypeError, match="_TwoTurnWave"):
+        alpha_prime(_TwoTurnWave(), np.array([0.1]))
 
 
 @pytest.mark.parametrize("spec", ORACLE_BLOCK_SPECS, ids=lambda s: s.family)
