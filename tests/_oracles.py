@@ -28,7 +28,9 @@ is linear between its seams walks only those; the one-pass profile over the
 knots of ``--v-quad``, the path it replaced there, must match it to rounding.
 The renderer drops a spiral sample that repeats the one before it in one
 vectorised pass; the loop it replaced, which compared each sample with the
-last one kept, is kept here as the reference it must equal.
+last one kept, is kept here as the reference it must equal.  Ck raises its
+power by squaring; numpy's general power, which it replaced, is kept here
+as the reference it must match to a few ulps.
 """
 
 from __future__ import annotations
@@ -239,6 +241,17 @@ def alpha_prime(profile, u) -> np.ndarray:
         slopes = np.diff(profile.evaluate(knots)) / np.diff(knots)
         return slopes[np.searchsorted(knots[1:-1], u)]
     raise TypeError(f"no closed-form alpha' for {kind.__name__}")
+
+
+def ck_alpha_pow(profile: Ck, u: np.ndarray) -> np.ndarray:
+    """Ck's alpha with numpy's general power, the form the library replaced by squaring.
+
+    The same arithmetic as the library's ``_alpha`` before: reduce u once, add
+    1/2 on the upper half, and take 2u + lam (u (1/4 - u)) ** (k + 1).
+    """
+    upper = u > 0.25
+    x = u - 0.25 * upper
+    return 0.5 * upper + (2.0 * x + profile.lam * (x * (0.25 - x)) ** (profile.k + 1))
 
 
 def t_quadrature_rule(profile, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -1,13 +1,15 @@
+import functools
 import json
 import math
 import re
+import struct
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from _oracles import alpha_prime, bisect_inverse
+from _oracles import alpha_prime, bisect_inverse, ck_alpha_pow
 from yinyang.curves import (
     MAX_K,
     MAX_TURNS,
@@ -130,6 +132,80 @@ def test_ck_rejects_bad_k():
 def test_ck_profile_invariants():
     for lam, k in ((1.0, 0), (1.0, 1), (1.0, 2), (7.9, 0)):
         _profile_invariants(Ck(lam, k))
+
+
+def test_ck_proves_monotonicity_where_lambda_times_k_overflows():
+    # lam (k + 1) overflowed to inf while x^k underflowed to 0, so the proof read
+    # NaN with a RuntimeWarning, and NaN <= 0 let the profile through unproved
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert Ck(1.8e305, 999).lam == 1.8e305
+
+
+def test_ck_refuses_a_nan_monotonicity_proof(monkeypatch):
+    monkeypatch.setattr(Ck, "_half_derivative", lambda self, u: np.float64(math.nan))
+    with pytest.raises(ValueError, match="derivative nan"):
+        Ck(1.0, 1)
+
+
+def _float_at(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+
+@functools.lru_cache(maxsize=None)
+def _largest_ck_lambda(k: int) -> float:
+    """The largest float lambda that Ck(lambda, k) accepts, by bisection on the float's bits.
+
+    Positive floats order as their bits, and the proof 2 + lam * c with c < 0
+    falls as lam grows, so the accepted lambdas are one interval (0, top].
+    """
+    def accepts(bits):
+        try:
+            Ck(_float_at(bits), k)
+        except ValueError:
+            return False
+        return True
+
+    lo, hi = 1, struct.unpack("<q", struct.pack("<d", math.inf))[0]  # 5e-324 passes, inf never
+    while hi - lo > 1:  # accepts(lo) and not accepts(hi)
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if accepts(mid) else (lo, mid)
+    return _float_at(lo)
+
+
+@st.composite
+def _ck_profiles_and_points(draw):
+    # k from 168 to 176 puts the largest power b^(k+1) near the subnormal range
+    k = draw(st.integers(0, MAX_K) | st.integers(168, 176))
+    lam = draw(st.floats(0.0, _largest_ck_lambda(k), exclude_min=True))
+    u = draw(st.lists(st.floats(0.0, 0.5), max_size=40))
+    return Ck(lam, k), np.array([0.0, 0.25, 0.5, *u])
+
+
+@settings(deadline=None)
+@given(_ck_profiles_and_points())
+def test_ck_alpha_by_squaring_matches_the_pow_reference(case):
+    """Ck's alpha, its power raised by squaring, against numpy's general power.
+
+    Bit-identical for k <= 1, where b^1 is b and numpy's b ** 2 is b * b.  For
+    k >= 2 the squares round differently: within 4 ulps of alpha, plus
+    lam * 2^-1074 where the power falls below the normal range and both round
+    it to the subnormal grid.  Measured over k = 2-1000 at lambda up to the
+    largest accepted, 400 000 points each: at most 4 ulps where the power is
+    normal; at k = 171 and lambda = 1.8e308, 32 ulps, which is 4 ulps plus
+    0.88 lam * 2^-1074.
+    """
+    profile, u = case
+    before = u.copy()
+    got = profile._alpha(u)
+    want = ck_alpha_pow(profile, u)
+    assert u.tobytes() == before.tobytes()
+    if profile.k <= 1:
+        assert got.tobytes() == want.tobytes()
+    else:
+        assert np.all(np.abs(got - want) <= 4.0 * np.spacing(want) + profile.lam * 2.0**-1074)
+    value = profile.evaluate(float(u[-1]))
+    assert type(value) is float and value == got[-1]
 
 
 # -- custom tables ------------------------------------------------------------------
