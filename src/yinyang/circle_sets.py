@@ -49,7 +49,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .geometry import finite, integer, mod1
+from .geometry import _shown, finite, integer, mod1
 
 #: Absolute tolerance for endpoint comparisons when merging arcs.
 EPS = 1e-14
@@ -178,7 +178,7 @@ class CircleSet:
         flat = [x for piece in self.pieces for x in piece]
         if flat and not (flat[0] >= 0.0 and flat[-1] <= 1.0 and all(map(operator.lt, flat, flat[1:]))):
             raise ValueError(f"circle set pieces must be sorted, disjoint (start, end) pairs "
-                             f"with 0 <= start < end <= 1, got {self.pieces}")
+                             f"with 0 <= start < end <= 1, got {_shown(self.pieces)}")
 
     @classmethod
     def empty(cls) -> "CircleSet":

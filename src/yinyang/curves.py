@@ -33,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from .circle_sets import CircleSet
-from .geometry import MAX_PARTS, DiskPoint, disk_to_cylinder, finite, integer, mod1
+from .geometry import MAX_PARTS, DiskPoint, _shown, disk_to_cylinder, finite, integer, mod1
 
 #: Turn counts lie in [1/MAX_TURNS, MAX_TURNS]; at MAX_TURNS the A4 tent centres
 #: (2t + L) mod 1 still resolve to about 1e-10.
@@ -200,10 +200,10 @@ class Ck(AlphaProfile):
 def _sample_table(samples) -> tuple[tuple[float, float], ...]:
     """A sample table as float pairs: a non-empty sequence of [u, v] pairs of finite numbers."""
     if not (isinstance(samples, (list, tuple)) and samples):
-        raise ValueError(f"sample table must be a non-empty list of [u, v] pairs, got {samples}")
+        raise ValueError(f"sample table must be a non-empty list of [u, v] pairs, got {_shown(samples)}")
     for i, pair in enumerate(samples):
         if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
-            raise ValueError(f"sample table entry {i} must be a [u, v] pair, got {pair}")
+            raise ValueError(f"sample table entry {i} must be a [u, v] pair, got {_shown(pair)}")
     return tuple((finite(f"sample table entry {i}", u), finite(f"sample table entry {i}", v))
                  for i, (u, v) in enumerate(samples))
 

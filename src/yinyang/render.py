@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .geometry import MAX_PARTS, finite, integer
+from .geometry import MAX_PARTS, _shown, finite, integer
 
 _FMT_ZERO = 5e-7  # snap tiny magnitudes so -0.000000 never appears
 
@@ -70,7 +70,7 @@ class RenderConfig:
             object.__setattr__(self, name, value)
         object.__setattr__(self, "parts", integer("parts", self.parts, 2, MAX_PARTS))
         if not isinstance(self.clockwise, bool):
-            raise ValueError(f"clockwise must be true or false, got {self.clockwise}")
+            raise ValueError(f"clockwise must be true or false, got {_shown(self.clockwise)}")
         # finite values can overflow: a turn the rotation (and 16 * turn the default step)
         if not math.isfinite(self.angle_deg):
             raise ValueError(f"turn = {self.turn:g} and rotate_deg = {self.rotate_deg:g} overflow "
@@ -86,7 +86,7 @@ class RenderConfig:
                 f"MAX_RENDER_STEPS = {MAX_RENDER_STEPS}; raise interpol or lower parts"
             )
         if not (isinstance(self.dark, (tuple, list)) and len(self.dark) == 3):
-            raise ValueError(f"dark must hold three numbers r, g, b, got {self.dark}")
+            raise ValueError(f"dark must hold three numbers r, g, b, got {_shown(self.dark)}")
         object.__setattr__(self, "dark", tuple(finite("dark", c) for c in self.dark))
         if any(not 0.0 <= c <= 1.0 for c in self.dark):
             raise ValueError(f"dark components must lie in [0, 1], got {self.dark}")
@@ -114,7 +114,7 @@ class RenderConfig:
         names = [f.name for f in fields(cls)]
         if not (isinstance(data, dict) and set(data) <= set(names)):
             raise ValueError(f"a render configuration must be a JSON object with keys from "
-                             f"{', '.join(names)}; got {data}")
+                             f"{', '.join(names)}; got {_shown(data)}")
         return cls(**{key: value for key, value in data.items() if value is not None})
 
 

@@ -319,7 +319,11 @@ def _assert_usage_error(argv, field, capsys):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error:") and field in captured.err, captured.err
+    assert len(captured.err) < 1024, len(captured.err)  # a long refused value is cut short
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+HUGE = list(range(200_000))  # 1.3 MB of JSON
 
 
 @pytest.mark.parametrize(
@@ -335,6 +339,9 @@ def _assert_usage_error(argv, field, capsys):
         ('{"clockwise": "no"}', "clockwise"),
         ('{"parts": 2.7}', "parts"),
         ('{"rotate": 10}', "rotate_deg"),  # unknown key: the message lists the allowed ones
+        pytest.param(json.dumps(HUGE), "render configuration", id="huge-array"),
+        pytest.param(json.dumps({"clockwise": HUGE}), "clockwise", id="huge-clockwise"),
+        pytest.param(json.dumps({"dark": HUGE}), "dark", id="huge-dark"),
     ],
 )
 def test_render_config_file_rejects_malformed(text, field, tmp_path, capsys):
@@ -363,6 +370,8 @@ def test_render_config_null_keeps_default(tmp_path):
         "[[true, 0.5], [0.5, 1.0]]",
         '[["0.25", 0.5], [0.5, 1.0]]',
         "[[0.25, 0.5, 1.0], [0.5, 1.0]]",
+        pytest.param(json.dumps({"samples": [[0.25, 0.5], [0.5, 1.0]] * 50_000}), id="huge-object"),
+        pytest.param(json.dumps([[0.5, *HUGE]]), id="huge-pair"),
     ],
 )
 def test_sample_table_file_rejects_malformed(text, tmp_path, capsys):

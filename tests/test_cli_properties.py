@@ -7,7 +7,8 @@ returns 0, 1 or 2 without raising; exit 2 leaves stdout empty and puts a
 message starting with ``error:`` on stderr; reports are strict JSON and every
 SVG written parses as XML.  The report encoder writes what
 ``json.dumps(doc, indent=2, allow_nan=False)`` writes, byte for byte, on
-generated documents, and refuses NaN and the infinities with its message.
+generated documents, report-shaped ones whose profile values it splices in
+among them, and refuses NaN and the infinities with its message.
 """
 
 import json
@@ -214,12 +215,36 @@ def _containers(children):
     )
 
 
-DOCUMENTS = st.recursive(SCALARS, _containers, max_leaves=40)
+NESTED = st.recursive(SCALARS, _containers, max_leaves=40)
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf, np.float64(math.nan), np.float64(-math.inf)])
+# strings that are, hold or end like the marker the encoder writes for a profile's values
+MARKERS = st.sampled_from(["\x00values", "a\x00values", "\x00values!", '"\x00values', '\x00values"',
+                           "\\u0000values", '"\\u0000values"'])
+SIBLINGS = st.dictionaries(TEXT | MARKERS, NESTED | MARKERS, max_size=3)
+
+
+def _reports(values):
+    """Report-shaped dicts: ``{"profile": {..., "values": X}}`` among sibling keys, X from ``values``."""
+    def build(t):
+        before, inner_before, x, inner_after, after = t
+        return {**before, "profile": {**inner_before, "values": x, **inner_after}, **after}
+    inner = SIBLINGS.map(lambda d: {k: v for k, v in d.items() if k != "values"})
+    outer = SIBLINGS.map(lambda d: {k: v for k, v in d.items() if k != "profile"})
+    return st.tuples(outer, inner, values, inner, outer).map(build)
+
+
+PROFILE_VALUES = st.one_of(
+    st.lists(FINITE_FLOATS, min_size=1, max_size=12),
+    st.just([]),
+    st.lists(st.one_of(FINITE_FLOATS, st.integers(), st.booleans(), st.none()), min_size=1, max_size=8),
+    MARKERS,
+)
+DOCUMENTS = NESTED | _reports(PROFILE_VALUES)
 
 
 def _holding(value):
-    """Documents with ``value`` somewhere inside: at the top, in a list among others, or as a dict value."""
+    """Documents with ``value`` somewhere inside: at the top, in a list among others, as a dict value,
+    in a report's profile values among finite floats, or beside finite profile values."""
     def wrap(inner):
         return st.one_of(
             st.tuples(st.lists(DOCUMENTS, max_size=3), inner, st.lists(DOCUMENTS, max_size=3))
@@ -227,6 +252,10 @@ def _holding(value):
             st.tuples(st.lists(FINITE_FLOATS, max_size=5), inner).map(lambda t: t[0] + [t[1]]),
             st.tuples(st.dictionaries(TEXT, DOCUMENTS, max_size=3), TEXT, inner)
             .map(lambda t: {**t[0], t[1]: t[2]}),
+            _reports(st.tuples(st.lists(FINITE_FLOATS, max_size=5), inner, st.lists(FINITE_FLOATS, max_size=5))
+                     .map(lambda t: t[0] + [t[1]] + t[2])),
+            st.tuples(_reports(st.lists(FINITE_FLOATS, min_size=1, max_size=5)), inner)
+            .map(lambda t: {**t[0], "sibling": t[1]}),
         )
     return st.recursive(value, wrap, max_leaves=8)
 
