@@ -129,7 +129,15 @@ class Fermat(AlphaProfile):
 
 
 class Sine(AlphaProfile):
-    """One-turn profile 2u + (lam/pi) sin(8 pi u); requires 0 < lam < 1/4."""
+    """One-turn profile 2u + (lam/pi) sin(8 pi u); requires 0 < lam < 1/4.
+
+    Computed alpha is within 1e-15 of alpha, so 1e-12, the oracle's margin
+    ``verify.ALPHA_MARGIN`` for twice that error, has room to spare.  2u is
+    exact.  8 pi u with pi rounded is off by at most 4 |pi - math.pi| plus half
+    an ulp of 4 pi, under 1.4e-15, and sin moves no more than its argument,
+    plus a few ulps of its own; lam/pi < 0.08 scales that below 2e-16.  The
+    product and the sum add under 1.2e-16 of rounding.
+    """
 
     def __init__(self, lam: float):
         super().__init__(1.0)
@@ -146,6 +154,17 @@ class Ck(AlphaProfile):
 
     Rejects lam values for which the first half loses monotonicity; the
     error message reports a witness u with non-positive derivative.
+
+    Computed alpha is within 1e-13 of alpha for every k <= MAX_K and every lam,
+    so 1e-12, the oracle's margin ``verify.ALPHA_MARGIN`` for twice that error,
+    has room to spare.  u - 1/4 on the upper half is exact, and b = w (1/4 - w)
+    rounds twice.  Each squaring doubles the relative error of b^(2^i) and adds
+    a rounding, so b^(k+1) and its product with lam carry at most 3 (k + 1) + 1
+    roundings: a relative error under 3.4e-13.  alpha increases, so
+    lam b^(k+1) <= alpha(1/8) - 1/4 <= 1/4, and that is 8.5e-14.  Below the
+    normal range each of the at most 20 products may add 2^-1075 instead, and
+    factors b <= 1/64 only shrink it; lam < 1.8e308 scales that to under 1e-14.
+    The two sums add under 2e-16 of rounding.
     """
 
     def __init__(self, lam: float, k: int):
@@ -165,8 +184,7 @@ class Ck(AlphaProfile):
     def _half(self, u):
         """2u + lam b^(k+1) with b = u (1/4 - u), the power by squaring in place on the fresh b.
 
-        numpy's general ``**`` is about 4x slower on a zero base, and the
-        oracle's clipped copy ends put half of its points on one.
+        numpy's general ``**`` is slower, about 4x on a zero base.
         """
         b = u * (0.25 - u)
         n = self.k + 1
@@ -266,7 +284,7 @@ class CurveSpec:
 
     def __post_init__(self):
         if not (isinstance(self.family, str) and self.family in FAMILIES):
-            raise ValueError(f"unknown family {self.family!r}, expected one of {tuple(FAMILIES)}")
+            raise ValueError(f"unknown family {_shown(repr(self.family))}, expected one of {tuple(FAMILIES)}")
         object.__setattr__(self, "parts", integer("parts", self.parts, 2, MAX_PARTS))
         object.__setattr__(self, "turns", finite("turns", self.turns))
         kind, takes = FAMILIES[self.family]
@@ -302,7 +320,7 @@ class CurveSpec:
         if not isinstance(data, dict):
             raise ValueError(f"a curve spec must be a JSON object, got {type(data).__name__}")
         if unknown := sorted(map(str, set(data) - set(keys))):
-            raise ValueError(f"unknown curve spec keys {unknown}, expected keys from {', '.join(keys)}")
+            raise ValueError(f"unknown curve spec keys {_shown(unknown)}, expected keys from {', '.join(keys)}")
         return cls(
             family=data.get("family"),
             turns=data.get("turns", 1.0),

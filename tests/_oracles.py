@@ -30,10 +30,19 @@ The renderer drops a spiral sample that repeats the one before it in one
 vectorised pass; the loop it replaced, which compared each sample with the
 last one kept, is kept here as the reference it must equal.  Ck raises its
 power by squaring; numpy's general power, which it replaced, is kept here
-as the reference it must match to a few ulps.
+as the reference it must match to a few ulps.  The Monte-Carlo oracle decides
+most sine and ck memberships from a table of alpha's brackets; the forward
+test it replaced, alpha at both copy ends of every sample, is kept here as the
+reference it must equal.  The table's margin must cover twice the rounding
+error of computed alpha, which is measured against alpha in 50-digit decimal
+arithmetic.  Sine's A4 profile has a closed form, from the Fourier series of
+the centres' density, against which the library's profile and the oracle's
+estimate are both tested.
 """
 
 from __future__ import annotations
+
+from decimal import Decimal, localcontext
 
 import numpy as np
 
@@ -430,6 +439,65 @@ def quarter_shift_profile_values(profile, g_grid: int) -> np.ndarray:
     below = area[k] + (flip - t[k]) * (r[k] + rho(flip)) / 2.0  # R(t*)
     sign = np.where(np.floor(2.0 * g) % 2 == 0, 1.0, -1.0)
     return 0.25 - 2.0 * sign * (2.0 * below - area[-1])
+
+
+def sine_profile_values(spec, g) -> np.ndarray:
+    """A sine spec's true A4 profile, f(g) = L^2 + 4 lam (sin(2 pi L) / 2 pi)^2 cos(4 pi (g - L)).
+
+    Substituting s = 2t makes f the tent of half-width L = 1/parts convolved
+    with the centres' wrapped density P(x) = alpha'(x/2)/2 = 1 + 4 lam cos(4 pi x),
+    at g - L.  The tent's Fourier coefficient at n is (sin(pi n L) / pi n)^2, and
+    P has the frequencies 0 and 2 alone.
+    """
+    length = 1.0 / spec.parts
+    amplitude = 4.0 * spec.lam * (np.sin(2.0 * np.pi * length) / (2.0 * np.pi)) ** 2
+    return length**2 + amplitude * np.cos(4.0 * np.pi * (np.asarray(g, dtype=float) - length))
+
+
+_PI = Decimal("3.14159265358979323846264338327950288419716939937510582097494459")
+
+
+def decimal_alpha(profile, u: float) -> Decimal:
+    """Sine's or Ck's alpha at the float u in 50-digit decimal arithmetic, with pi to 60 digits.
+
+    Written from the formulas in the docstring of ``yinyang.curves``; sine's
+    sin is its Taylor series after reduction into [-pi, pi].
+    """
+    with localcontext() as ctx:
+        ctx.prec = 50
+        u = Decimal(u)
+        if type(profile) is Sine:  # 2u + (lam/pi) sin(8 pi u)
+            x = 8 * _PI * u
+            x -= 2 * _PI * (x / (2 * _PI)).to_integral_value()
+            term, total, n = x, x, 1
+            while abs(term) > Decimal("1e-55"):
+                term *= -x * x / ((n + 1) * (n + 2))
+                total += term
+                n += 2
+            return 2 * u + Decimal(profile.lam) / _PI * total
+        if type(profile) is Ck:  # 2w + lam (w (1/4 - w))^(k+1), w = u less 1/4 and 1/2 more above 1/4
+            quarter = Decimal("0.25")
+            w = u - quarter if u > quarter else u
+            return (Decimal("0.5") if u > quarter else 0) + 2 * w \
+                + Decimal(profile.lam) * (w * (quarter - w)) ** (profile.k + 1)
+    raise TypeError(f"no decimal alpha for {type(profile).__name__}")
+
+
+def forward_membership(profile, x: np.ndarray, v: np.ndarray, length: float) -> np.ndarray:
+    """Whether (x, v) lies in the first part, from alpha at both copy ends of every sample.
+
+    The oracle's forward test before its bracket table: alpha(clip(x + j - L))
+    < v <= alpha(clip(x + j)) for some copy 0 <= j < ceil(domain_end + L), the
+    ends clipped to [0, domain_end], with alpha evaluated at every end.  The
+    library settles most comparisons from the table and must decide each one
+    as this does.
+    """
+    end = profile.domain_end
+    inside = np.zeros(x.shape, dtype=bool)
+    for j in range(int(np.ceil(end + length))):
+        below = profile._alpha(np.clip(x + (j - length), 0.0, end)) < v
+        inside |= below & (v <= profile._alpha(np.clip(x + j, 0.0, end)))
+    return inside
 
 
 def loop_dedupe(points: np.ndarray) -> np.ndarray:

@@ -515,6 +515,17 @@ def test_spec_from_json_refuses_what_it_cannot_read(data, match):
         CurveSpec.from_json(data)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: CurveSpec.from_json({str(i): 0 for i in range(100_000)}),
+    lambda: CurveSpec(family="x" * 100_000),
+], ids=["unknown-keys", "unknown-family"])
+def test_spec_errors_stay_short_on_huge_input(build):
+    # the full key list read 888 975 characters, the family's repr 100 069
+    with pytest.raises(ValueError, match="unknown") as error:
+        build()
+    assert len(str(error.value)) < 200
+
+
 # -- sections and membership ------------------------------------------------------------
 
 

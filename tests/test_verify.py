@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import tracemalloc
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -11,12 +12,15 @@ from hypothesis import given, settings, strategies as st
 from _oracles import (
     alpha_prime,
     bisect_inverse,
+    decimal_alpha,
+    forward_membership,
     interpolant_profile_values,
     one_pass_profile_values,
     profile_knots,
     quarter_shift_profile_values,
     quarter_shift_sup,
     radial_crossings,
+    sine_profile_values,
     t_quadrature_rule,
     t_rule_profile_values,
     v_path_profile_values,
@@ -38,7 +42,10 @@ from yinyang.curves import (
 from yinyang.geometry import MAX_PARTS, mod1
 from yinyang.render import RenderConfig
 from yinyang.verify import (
+    ALPHA_MARGIN,
     BLOCK,
+    BRACKET_BUCKETS,
+    BRACKET_KNOTS,
     FLATNESS_TOL_CLOSED_FORM,
     FLATNESS_TOL_TABLE,
     G_GRID,
@@ -1066,14 +1073,92 @@ class _TwoTurnWave(Sine):
         return u + (0.05 / math.pi) * np.sin(4.0 * math.pi * u)
 
 
+def _table_membership(profile, x, v, length):
+    """The oracle's membership of (x, v), v in [0, 1), through the bracket table of ``profile``."""
+    lo, hi = verify._brackets(profile)
+    bucket = (v * BRACKET_BUCKETS).astype(np.intp)
+    return verify._forward(profile, x, v, length, lo[bucket], hi[bucket])
+
+
 @pytest.mark.parametrize("parts", range(2, 7))
 def test_forward_membership_over_every_copy_of_a_two_turn_profile(parts):
     # domain_end + L > 1, so the copy loop runs twice; no family in the package spans two turns
     profile, length = _TwoTurnWave(), 1.0 / parts
     u, v = np.random.default_rng(parts).random((2, 100_000))
-    inside = verify._forward(profile, u, v, length)
+    inside = _table_membership(profile, u, v, length)
     assert np.array_equal(inside, _frac(u - profile.inverse(v)) < length)
     assert 0.0 < inside.mean() < 1.0
+
+
+def _membership_edge_cases(profile, length, rng):
+    """Points (x, v) where a bracket could decide wrongly, v in [0, 1) as the oracle draws it.
+
+    The copy ends x + j - L and x + j fall on the table's knots, an ulp either
+    side of them, on 0 and domain_end, and at random; v is the computed alpha at
+    either clipped end and an ulp either side of it, or lies in the first or
+    the last bucket.
+    """
+    end = profile.domain_end
+    knots = end * (np.arange(BRACKET_KNOTS + 1) / BRACKET_KNOTS)
+    ends = np.concatenate((knots, np.nextafter(knots, -1.0), np.nextafter(knots, 2.0 * end),
+                           [0.0, end], rng.uniform(-0.1, end + 0.1, 2_000)))
+    copies = np.arange(math.ceil(end + length))[:, None]
+    x = np.concatenate(((ends - copies).ravel(), (ends + length - copies).ravel()))
+    alphas = [profile._alpha(np.clip(x + (j - length), 0.0, end)) for j in copies.ravel()]
+    alphas += [profile._alpha(np.clip(x + j, 0.0, end)) for j in copies.ravel()]
+    heights = [h for a in alphas for h in (a, np.nextafter(a, -1.0), np.nextafter(a, 2.0))]
+    bucket = 1.0 / BRACKET_BUCKETS
+    heights += [rng.uniform(0.0, bucket, len(x)), rng.uniform(1.0 - bucket, 1.0, len(x)),
+                np.zeros(len(x)), np.full(len(x), np.nextafter(1.0, 0.0)), rng.random(len(x))]
+    v = np.clip(np.concatenate(heights), 0.0, np.nextafter(1.0, 0.0))
+    return np.tile(x, len(heights)), v
+
+
+@pytest.mark.parametrize("profile", [
+    Sine(1e-3), Sine(0.2499), *(_ck_spec(0.999, k, 2).alpha_profile() for k in (0, 3, 7, 100)),
+    Ck(1.8e305, 999)], ids=lambda p: f"{type(p).__name__}-{p.lam:g}-{getattr(p, 'k', '')}")
+def test_alpha_margin_covers_twice_the_rounding_of_computed_alpha(profile):
+    # the table's knots and random points, against alpha in 50-digit decimal arithmetic
+    u = np.concatenate((profile.domain_end * (np.arange(BRACKET_KNOTS + 1) / BRACKET_KNOTS),
+                        np.random.default_rng(3).uniform(0.0, profile.domain_end, 500)))
+    error = max(abs(decimal_alpha(profile, float(x)) - Decimal(float(a))) for x, a in zip(u, profile._alpha(u)))
+    assert 2 * error <= ALPHA_MARGIN
+
+
+@settings(max_examples=25, deadline=None)
+@given(profile=st.one_of(
+    st.builds(Sine, st.sampled_from([1e-3, 0.2499]) | st.floats(1e-3, 0.2499)),
+    st.builds(lambda share, k: _ck_spec(share, k, 2).alpha_profile(), st.floats(1e-3, 0.999), st.integers(0, 7)),
+    st.just(Ck(1.8e305, 999)), st.builds(_TwoTurnWave)),
+    parts=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
+def test_bracket_membership_equals_the_forward_reference(profile, parts, seed):
+    # every decision, from the table or from alpha inside a bracket, is alpha's at the clipped end
+    length = 1.0 / parts
+    x, v = _membership_edge_cases(profile, length, np.random.default_rng(seed))
+    assert np.array_equal(_table_membership(profile, x, v, length), forward_membership(profile, x, v, length))
+
+
+@pytest.mark.parametrize("lam", [0.1, 0.24])
+@pytest.mark.parametrize("parts", [3, 4, 5])
+@pytest.mark.parametrize("v_quadrature", [1_001, V_QUADRATURE])
+def test_sine_profile_within_the_interpolation_bound_of_its_closed_form(lam, parts, v_quadrature):
+    # |f - f_h| <= turns h^2 max|alpha''| / 8 for the interpolant on knots h apart; sine's alpha'' <= 64 pi lam
+    spec = CurveSpec(family="sine", lam=lam, parts=parts)
+    prof = perfect_profile(spec, v_quadrature=v_quadrature)
+    h = spec.alpha_profile().domain_end / (prof.v_nodes - 1)
+    bound = h * h * 64.0 * math.pi * lam / 8.0
+    assert np.max(np.abs(prof.values - sine_profile_values(spec, prof.g))) <= bound
+
+
+@pytest.mark.parametrize("parts", [3, 4, 5])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_sine_oracle_within_five_standard_errors_of_its_closed_form(parts, seed):
+    # at g = L and L + 1/4 the profile is L^2 +- its amplitude, 18 standard errors from L^2 at
+    # parts 3, so an oracle whose brackets decide wrongly in bulk falls outside
+    spec = CurveSpec(family="sine", lam=0.24, parts=parts)
+    for g in (1.0 / parts, 1.0 / parts + 0.25):
+        est = monte_carlo_overlap(spec, g=g, samples=100_000, seed=seed)
+        assert abs(est.value - float(sine_profile_values(spec, g))) <= 5.0 * est.stderr
 
 
 def test_alpha_prime_refuses_a_family_subclass():
