@@ -48,4 +48,4 @@ print()
 print("rotation immunity (structural: a slice is one arc of length 1/parts <= 1/2,")
 print("so every integral is 0):")
 rc = rotation_check(CurveSpec(family="fermat", turns=1.0), q_max=6)
-print(" ", rc.integrals)
+print(" ", rc["integrals"])

@@ -35,7 +35,6 @@ from .geometry import (
     cylinder_to_disk,
     disk_to_cylinder,
     reflect_u,
-    rotate_u,
 )
 from .render import RenderConfig, SvgDocument, render, spiral_points
 from .verify import (
@@ -68,7 +67,6 @@ __all__ = [
     "cylinder_to_disk",
     "disk_to_cylinder",
     "reflect_u",
-    "rotate_u",
     "RenderConfig",
     "SvgDocument",
     "render",

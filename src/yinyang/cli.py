@@ -22,6 +22,7 @@ from pathlib import Path
 
 from . import __version__
 from .curves import CURVE_PRESET_NOTES, CURVE_PRESETS, FAMILIES, CurveSpec
+from .geometry import _shown
 from .render import EVOLUTION_TURNS, PRESET_NOTES, RENDER_PRESETS, RenderConfig, render
 from .verify import (
     AXIOM_IDS,
@@ -86,7 +87,7 @@ def _parse_axioms(text: str) -> tuple[str, ...]:
             continue
         key = _AXIOM_ALIASES.get(token.lower())
         if key is None:
-            raise ValueError(f"unknown axiom id {token!r}")
+            raise ValueError(f"unknown axiom id {_shown(repr(token))}")
         out.append(key)
     if not out:
         raise ValueError("no axioms requested")
@@ -141,8 +142,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     doc = report.to_json()
     ok = report.all_passed(_parse_axioms(args.axioms))
     if rc is not None:
-        doc["rotation"] = rc.to_json()
-        ok = ok and rc.passed
+        doc["rotation"] = rc
+        ok = ok and rc["pass"]
     _emit(_dumps(doc), args.out)
     return 0 if ok else 1
 
@@ -172,7 +173,7 @@ def _render_config_from_args(args: argparse.Namespace) -> RenderConfig:
     elif args.preset is not None:
         if args.preset not in RENDER_PRESETS:
             raise ValueError(
-                f"unknown preset {args.preset!r}; try: {', '.join(sorted(RENDER_PRESETS))}"
+                f"unknown preset {_shown(repr(args.preset))}; try: {', '.join(sorted(RENDER_PRESETS))}"
             )
         config = RENDER_PRESETS[args.preset]
     else:

@@ -132,14 +132,6 @@ def reflect_u(g: float, p: CylinderPoint) -> CylinderPoint:
     return CylinderPoint(u=_mod_half_open_high(float(g) - p.u, 1.0), v=p.v)
 
 
-def rotate_u(h: float, p: CylinderPoint) -> CylinderPoint:
-    """Rotation of the cylinder: (u, v) -> (u + h, v).
-
-    Corresponds to rotating the disk by angle 2pi*h.
-    """
-    return CylinderPoint(u=_mod_half_open_high(p.u + float(h), 1.0), v=p.v)
-
-
 def reflect_disk(g: float, p: DiskPoint) -> DiskPoint:
     """Reflect a disk point in the diameter at angle pi*g."""
     return DiskPoint(r=p.r, phi=TWO_PI * float(g) - p.phi)

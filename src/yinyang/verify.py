@@ -32,19 +32,19 @@ wrap past 1 sorts them.  Where alpha is linear between seams
 at the cylinder, an independent check on that path.  For a curved profile it
 tests membership forward, through alpha, and decides most samples from one
 table per call: alpha on 4 097 knots brackets each of 8 192 height buckets,
-so alpha is read only at the few samples whose ends fall inside a bracket,
-about 0.1% of them.  Both walk their input in
-blocks of ``BLOCK`` = 16 384 knots or samples, whose 128 KB arrays stay in
+so alpha is read only at the copy ends that fall inside a bracket, about
+0.024% of them, four a sample (sine and ck at 1e5 samples).  Both walk their
+input in blocks of ``BLOCK`` = 16 384 knots or samples, whose 128 KB arrays stay in
 cache, so memory grows with neither count (4 096 and 32 768 were slower for
 A4, 2 048 and 65 536 for the oracle).  The cell sums differ from one sum over
 every knot only by rounding, within 1e-14 max(1, sum |D|).  The oracle's
 estimate is the same at any block size.
 
-``rotation_check`` reports the integral of the largest rotation-invariant
-subset of each slice.  Its verdict is structural, like A1's: a slice is one
-arc of length L = 1/parts <= 1/2, and for a rotation p/q with q >= 2 its q
-translates by k/q share a point only if L > (q-1)/q >= 1/2, so every
-integral is 0 whatever the curve.
+``rotation_check`` gives the report's rotation section: the integral of the
+largest rotation-invariant subset of each slice.  Its verdict is structural,
+like A1's: a slice is one arc of length L = 1/parts <= 1/2, and for a rotation
+p/q with q >= 2 its q translates by k/q share a point only if
+L > (q-1)/q >= 1/2, so every integral is 0 whatever the curve.
 
 Axioms checked by ``check_axioms``:
 
@@ -58,11 +58,23 @@ Axioms checked by ``check_axioms``:
 * A5   -- sampling-regularity surrogate for smoothness: bounded turning
           angles of the sampled boundary polyline.  Not a certificate.
 
-Relation residuals (``RELATIONS``, keyed by report id): the quarter-shift law
-eq_alal and its slice form eq_mm at one turn, the two-turn analogues eq_alalal
-and eq_sigma, and the 3/2-turn analogue eq_al3.  Each entry holds the turn
-count the relation applies to, the end of its domain and its residual
-LHS - RHS; ``relation_residual`` takes the sup of |residual| on a grid of it.
+Relation residuals (``RELATIONS``, keyed by report id) test A4's flatness
+law.  Substituting s = 2t above gives f(g) = (tent * P)(g - L), the tent's
+circular convolution with the density of the centres wrapped onto the circle,
+
+    P(x) = sum over integers k >= 0 with x + k <= turns of  alpha'((x + k)/2) / 2,
+
+which integrates to 1.  The tent's Fourier coefficients (sin(pi n L)/(pi n))^2
+vanish exactly at the nonzero multiples of parts, so f == L^2 exactly when P
+is 1/parts-periodic.  For two parts, integrating P(x) = P(x + 1/2) once gives
+one relation per turn count: eq_alal, the quarter-shift law
+alpha(u + 1/4) = alpha(u) + 1/2, at one turn, eq_al3 at 3/2 turns and
+eq_alalal at two.  eq_mm restates eq_alal through the slice measure
+``m_function`` (its residual at u is -2 times eq_alal's at u/2), and eq_sigma
+restates eq_alalal through sigma(u) = alpha(u + 1/4) - alpha(u).  Each entry
+holds the turn count the relation applies to, the end of its domain and its
+residual LHS - RHS; ``relation_residual`` takes the sup of |residual| on a
+grid of it.
 """
 
 from __future__ import annotations
@@ -276,10 +288,8 @@ def m_function(profile: AlphaProfile, u):
     if not np.all((u > 0.0) & (u <= 1.0)):
         raise ValueError("m_function argument must lie in (0, 1]")
     abar = lambda x: profile._alpha(x / 2.0)
-    out = np.empty_like(u)
     low = u <= 0.5
-    out[low] = abar(u[low]) + 1.0 - abar(u[low] + 0.5)
-    out[~low] = abar(u[~low]) - abar(u[~low] - 0.5)
+    out = (abar(u) + low) - abar(np.where(low, u + 0.5, u - 0.5))
     return float(out[0]) if scalar else out
 
 
@@ -423,11 +433,6 @@ def check_axioms(
     # A2: alpha increases strictly, as every constructor proves (Table checks its samples), so
     # each branch crosses each circle once; a sampled check could only contradict it by rounding.
     axioms["A2"] = AxiomVerdict(passed=True, detail=f"each concentric circle crossed {spec.parts} times")
-    if spec.parts != 2:
-        notes.append(
-            "A2/A3 are stated for two-part symbols; with parts != 2 the verdicts "
-            "report per-branch behaviour"
-        )
 
     # A3 / A3'': radial crossing counts.
     cmin, cmax = radial_crossing_range(spec.parts, profile.turns)
@@ -453,10 +458,12 @@ def check_axioms(
         witness=prof.witness_g,
     )
     if spec.parts > 2:
-        notes.append(
+        notes += [
+            "A2/A3 are stated for two-part symbols; with parts != 2 the verdicts "
+            "report per-branch behaviour",
             f"the flat-profile target 1/parts^2 = {prof.target:g} for parts > 2 "
-            "extends the two-part balance criterion; treat the A4 verdict as advisory"
-        )
+            "extends the two-part balance criterion; treat the A4 verdict as advisory",
+        ]
 
     # A5: sampling-regularity surrogate for smoothness, per branch (the jump from one
     # branch's rim to the next branch's center is not a turn).  Branch j is branch 0
@@ -493,41 +500,31 @@ def check_axioms(
 # -- rotation immunity --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RotationCheck:
-    """Integrated measures of rotation-invariant parts, per reduced rotation p/q."""
-
-    integrals: dict[str, float]
-    passed: bool
-
-    def to_json(self) -> dict:
-        return {
-            "integrals": dict(self.integrals),
-            "pass": self.passed,
-            "detail": "structural: every slice is one arc of length 1/parts <= 1/2, "
-                      "which holds no subset invariant under a rotation p/q with q >= 2",
-        }
-
-
 def reduced_rotations(q_max: int) -> list[tuple[int, int]]:
     return [(p, q) for q in range(2, q_max + 1) for p in range(1, q) if math.gcd(p, q) == 1]
 
 
-def rotation_check(spec: CurveSpec, q_max: int) -> RotationCheck:
-    """Integrate the rotation-invariant part of each slice over all heights.
+def rotation_check(spec: CurveSpec, q_max: int) -> dict:
+    """The report's rotation section: the rotation-invariant part of each slice, integrated over all heights.
 
     For every reduced rotation p/q with 2 <= q <= q_max the integral
 
         integral over v of measure(largest p/q-rotation-invariant subset of slice_v)
 
-    is reported.  Every slice is one arc of length L = 1/parts <= 1/2, whose
-    largest p/q-invariant subset is the points that all q of its translates by
-    k/q cover: q arcs of length L - (q-1)/q <= 0, so none.  So every integral
-    is exactly 0.0 and the check passes for every spiral symbol, whose parts
-    contain no rotation-symmetric subset; like A1, it needs nothing of the curve.
+    is reported under "integrals", keyed "p/q".  Every slice is one arc of
+    length L = 1/parts <= 1/2, whose largest p/q-invariant subset is the points
+    that all q of its translates by k/q cover: q arcs of length
+    L - (q-1)/q <= 0, so none.  So every integral is exactly 0.0 and the check
+    passes for every spiral symbol, whose parts contain no rotation-symmetric
+    subset; like A1, it needs nothing of the curve.
     """
     q_max = integer("q_max", q_max, 2, MAX_Q)
-    return RotationCheck(integrals={f"{p}/{q}": 0.0 for p, q in reduced_rotations(q_max)}, passed=True)
+    return {
+        "integrals": {f"{p}/{q}": 0.0 for p, q in reduced_rotations(q_max)},
+        "pass": True,
+        "detail": "structural: every slice is one arc of length 1/parts <= 1/2, "
+                  "which holds no subset invariant under a rotation p/q with q >= 2",
+    }
 
 
 # -- Monte-Carlo oracle -------------------------------------------------------
@@ -653,9 +650,8 @@ def monte_carlo_overlap(spec: CurveSpec, g: float, samples: int, seed: int) -> O
         table_lo, table_hi = _brackets(profile)
     rng = np.random.default_rng(seed)
     hits = 0
-    remaining = samples
-    while remaining > 0:
-        n = min(BLOCK, remaining)
+    for done in range(0, samples, BLOCK):
+        n = min(BLOCK, samples - done)
         pair = rng.random((n, 2))  # row-major: the stream does not depend on the block size
         v, u = pair[:, 0], pair[:, 1]
         if profile.linear_pieces:  # a closed-form inverse
@@ -668,7 +664,6 @@ def monte_carlo_overlap(spec: CurveSpec, g: float, samples: int, seed: int) -> O
             in_first = _forward(profile, u, v, length, lo, hi)
             in_reflected = _forward(profile, _frac(g - u), v, length, lo, hi)
         hits += int(np.count_nonzero(in_first & in_reflected))
-        remaining -= n
     p_hat = hits / samples
     stderr = math.sqrt(p_hat * (1.0 - p_hat) / max(samples - 1, 1))
     return OracleEstimate(value=p_hat, stderr=stderr, samples=samples, seed=seed, g=g)

@@ -33,7 +33,9 @@ power by squaring; numpy's general power, which it replaced, is kept here
 as the reference it must match to a few ulps.  The Monte-Carlo oracle decides
 most sine and ck memberships from a table of alpha's brackets; the forward
 test it replaced, alpha at both copy ends of every sample, is kept here as the
-reference it must equal.  The table's margin must cover twice the rounding
+reference it must equal.  ``m_function`` reads alpha on whole arrays; the
+masked gathers and scatters it replaced are kept here as the reference it
+must equal bit for bit.  The table's margin must cover twice the rounding
 error of computed alpha, which is measured against alpha in 50-digit decimal
 arithmetic.  Sine's A4 profile has a closed form, from the Fourier series of
 the centres' density, against which the library's profile and the oracle's
@@ -498,6 +500,19 @@ def forward_membership(profile, x: np.ndarray, v: np.ndarray, length: float) -> 
         below = profile._alpha(np.clip(x + (j - length), 0.0, end)) < v
         inside |= below & (v <= profile._alpha(np.clip(x + j, 0.0, end)))
     return inside
+
+
+def masked_m_function(profile, u: np.ndarray) -> np.ndarray:
+    """The slice measure m(u), u in (0, 1], through the masked gathers and scatters of its two sides.
+
+    m(u) = alpha(u/2) + 1 - alpha((u + 1/2)/2) up to 1/2 and alpha(u/2) - alpha((u - 1/2)/2) past it.
+    """
+    abar = lambda x: profile._alpha(x / 2.0)
+    out = np.empty_like(u)
+    low = u <= 0.5
+    out[low] = abar(u[low]) + 1.0 - abar(u[low] + 0.5)
+    out[~low] = abar(u[~low]) - abar(u[~low] - 0.5)
+    return out
 
 
 def loop_dedupe(points: np.ndarray) -> np.ndarray:

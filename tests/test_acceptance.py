@@ -146,10 +146,10 @@ def test_criterion_06_strict_maximum():
 
 def test_criterion_07_rotation_immunity():
     rc = rotation_check(CurveSpec(family="fermat", turns=1.0), q_max=6)
-    worst = max(rc.integrals.values())
-    ok = rc.passed and worst <= 1e-12
-    _report(7, ok, f"{len(rc.integrals)} reduced rotations, max integral {worst:.2e}")
-    assert rc.passed
+    worst = max(rc["integrals"].values())
+    ok = rc["pass"] and worst <= 1e-12
+    _report(7, ok, f"{len(rc['integrals'])} reduced rotations, max integral {worst:.2e}")
+    assert rc["pass"]
     assert worst <= 1e-12
 
 

@@ -472,6 +472,17 @@ def test_q_max_over_cap_refused_before_any_work(monkeypatch, capsys):
     _assert_usage_error(["verify", f"--q-max={MAX_Q + 1}"], "q_max", capsys)
 
 
+@pytest.mark.parametrize("argv, field", [
+    (["verify", *FAST_VERIFY, "--axioms", "A1," + "x" * 100_000], "unknown axiom id 'xxx"),
+    (["render", "--preset", "x" * 100_000, "--out", "OUT"], "unknown preset 'xxx"),
+], ids=["axioms", "preset"])
+def test_a_long_unknown_axiom_or_preset_is_cut_short(argv, field, tmp_path, capsys):
+    # both messages used to repeat the whole refused token: 100 027 and 100 070 bytes
+    out = tmp_path / "x.svg"
+    _assert_usage_error([str(out) if a == "OUT" else a for a in argv], field, capsys)
+    assert not out.exists()
+
+
 def test_render_steps_times_parts_capped(tmp_path, capsys):
     out = tmp_path / "x.svg"
     _assert_usage_error(["render", "--parts", "100", "--interpol", "1e-4", "--out", str(out)],

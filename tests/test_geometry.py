@@ -12,7 +12,6 @@ from yinyang.geometry import (
     mod1,
     reflect_disk,
     reflect_u,
-    rotate_u,
 )
 
 from _oracles import annular_sector_area
@@ -70,16 +69,6 @@ def test_reflect_u_examples():
     fixed = reflect_u(0.5, CylinderPoint(0.25, 0.3))
     assert fixed.u == pytest.approx(0.25)
     assert fixed.v == 0.3
-
-
-def test_rotate_u_examples():
-    assert rotate_u(0.5, CylinderPoint(0.75, 1.0)).u == pytest.approx(0.25)
-    p = CylinderPoint(0.37, 0.9)
-    assert rotate_u(0.0, p) == p
-    q = p
-    for _ in range(4):
-        q = rotate_u(0.25, q)
-    assert q.u == pytest.approx(p.u, abs=TOL)
 
 
 @given(st.floats(0.0, 1.0), st.floats(1e-6, 1.0 - 1e-9), st.floats(1e-6, 1.0))

@@ -15,6 +15,7 @@ from _oracles import (
     decimal_alpha,
     forward_membership,
     interpolant_profile_values,
+    masked_m_function,
     one_pass_profile_values,
     profile_knots,
     quarter_shift_profile_values,
@@ -706,6 +707,22 @@ def test_m_function_periodicity_tracks_quarter_shift():
     assert np.max(np.abs(m_function(quad, u) - m_function(quad, u + 0.5))) > 1e-3
 
 
+#: 1/2 and the floats either side of it, where m_function changes sides, 1, and the smallest u
+M_EDGES = [0.5, math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0), 1.0, math.nextafter(1.0, 0.0), 1e-300, 5e-324]
+
+
+@settings(max_examples=50, deadline=None)
+@given(profile=st.one_of(
+    st.builds(Sine, st.sampled_from([1e-3, 0.2499])),
+    st.builds(lambda share, k: _ck_spec(share, k, 2).alpha_profile(), st.floats(1e-3, 0.999), st.integers(0, 7)),
+    tables(turns=1.0).map(Table), st.just(Fermat(1.0))),
+    u=st.lists(st.floats(0.0, 1.0, exclude_min=True) | st.sampled_from(M_EDGES), min_size=1, max_size=64))
+def test_m_function_equals_the_masked_reference(profile, u):
+    # one alpha read per side on whole arrays, against the masked gathers and scatters, bit for bit
+    u = np.array(u + M_EDGES)
+    assert m_function(profile, u).tobytes() == masked_m_function(profile, u).tobytes()
+
+
 def test_m_function_domain():
     p = Fermat(1.0)
     with pytest.raises(ValueError):
@@ -874,14 +891,14 @@ def test_report_requires_known_axioms():
 
 def test_rotation_check_fermat():
     rc = rotation_check(CurveSpec(family="fermat", turns=1.0), q_max=6)
-    assert rc.passed
-    assert len(rc.integrals) == len(reduced_rotations(6)) == 11
-    assert all(v <= 1e-12 for v in rc.integrals.values())
+    assert rc["pass"]
+    assert len(rc["integrals"]) == len(reduced_rotations(6)) == 11
+    assert all(v <= 1e-12 for v in rc["integrals"].values())
 
 
 def test_rotation_check_three_parts():
     rc = rotation_check(CurveSpec(family="fermat", turns=1.0, parts=3), q_max=3)
-    assert rc.integrals["1/3"] == 0.0  # length-1/3 arcs kill the 1/3 rotation
+    assert rc["integrals"]["1/3"] == 0.0  # length-1/3 arcs kill the 1/3 rotation
 
 
 def test_rotation_fiber_full_circle_degenerate():
@@ -900,8 +917,9 @@ def test_slice_arcs_hold_no_rotation_invariant_part(start, parts, q, data):
     p = data.draw(st.sampled_from([p for p in range(1, q) if math.gcd(p, q) == 1]))
     assert CircleSet.from_arcs([(start, 1.0 / parts)]).rotation_invariant_part(p, q).pieces == ()
     rc = rotation_check(CurveSpec(family="fermat", turns=1.0, parts=parts), q_max=q)
-    assert list(rc.integrals) == [f"{a}/{b}" for a, b in reduced_rotations(q)]
-    assert all(v == 0.0 for v in rc.integrals.values()) and rc.passed
+    assert list(rc) == ["integrals", "pass", "detail"]
+    assert list(rc["integrals"]) == [f"{a}/{b}" for a, b in reduced_rotations(q)]
+    assert all(v == 0.0 for v in rc["integrals"].values()) and rc["pass"] is True
 
 
 def test_rotation_check_matches_slice_algebra():
@@ -913,8 +931,8 @@ def test_rotation_check_matches_slice_algebra():
         rc = rotation_check(spec, q_max=5)
         for p, q in reduced_rotations(5):
             fibers = np.array([s.rotation_invariant_part(p, q).measure() for s in slices])
-            assert rc.integrals[f"{p}/{q}"] == pytest.approx(float(w @ fibers), abs=1e-12)
-    assert rc.to_json()["detail"].startswith("structural: every slice is one arc")
+            assert rc["integrals"][f"{p}/{q}"] == pytest.approx(float(w @ fibers), abs=1e-12)
+    assert rc["detail"].startswith("structural: every slice is one arc")
 
 
 def test_check_axioms_validates_flatness_tolerance():
