@@ -41,7 +41,6 @@ from .verify import (
     OracleEstimate,
     VerifyReport,
     check_axioms,
-    m_function,
     monte_carlo_overlap,
     perfect_profile,
     relation_residual,
@@ -74,7 +73,6 @@ __all__ = [
     "OracleEstimate",
     "VerifyReport",
     "check_axioms",
-    "m_function",
     "monte_carlo_overlap",
     "perfect_profile",
     "relation_residual",

@@ -16,9 +16,11 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import NoReturn
 
 from . import __version__
 from .curves import CURVE_PRESET_NOTES, CURVE_PRESETS, FAMILIES, CurveSpec
@@ -43,6 +45,22 @@ _NON_FINITE = frozenset(("nan", "inf", "-inf"))
 #: Stands in for a report's ``profile.values`` while ``json`` writes the rest.
 _MARKER = "\x00values"
 _MARKER_TEXT = json.dumps(_MARKER)
+
+#: A quoted token of an argparse message, escapes kept whole; one left open runs to the end,
+#: so every match succeeds from its first quote and the scan is linear.
+_QUOTED = re.compile(r"""'(?:[^'\\]|\\.?)*(?:'|\Z)|"(?:[^"\\]|\\.?)*(?:"|\Z)""", re.S)
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse, with each quoted token of a usage error cut short by ``_shown``.
+
+    argparse's ``invalid choice`` and ``invalid ... value`` messages repeat the
+    refused token whole.  Subparsers are made of the parent's class, so this
+    covers every flag.
+    """
+
+    def error(self, message: str) -> NoReturn:
+        super().error(_QUOTED.sub(lambda m: _shown(m.group()), message))
 
 
 def _add_curve_flags(parser: argparse.ArgumentParser) -> None:
@@ -228,7 +246,7 @@ def _cmd_presets(args: argparse.Namespace) -> int:
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     # parse_args keeps no state on the parser, so one serves every call
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="yy", description="construct, verify, and render yin-yang spiral symbols"
     )
     parser.add_argument("--version", action="version", version=f"yy {__version__}")

@@ -17,8 +17,11 @@ of congruent parts.  Each family is one subclass of :class:`AlphaProfile`:
   alpha(u + 1/4) = alpha(u) + 1/2 exactly.
 * ``ck``, ``Ck(lam, k)`` -- one turn, alpha = f with
   f(u) = 2u + lam * (u (1/4 - u))^(k+1) on [0, 1/4] and
-  f(u) = 1/2 + f(u - 1/4) on [1/4, 1/2]; k times continuously
-  differentiable at the seam.  lam must keep f strictly increasing:
+  f(u) = 1/2 + f(u - 1/4) on [1/4, 1/2].  Near the seam u = 1/4,
+  f(u) = 2u + lam g(|u - 1/4|) with g(s) = (s (1/4 - s))^(k+1), and the
+  first odd power of s in g, s^(k+1) for even k and s^(k+2) for odd k, is
+  the first derivative that jumps there: f is C^k for even k and C^(k+1)
+  for odd k.  lam must keep f strictly increasing:
   the constructor checks f' at its closed-form minimiser on [0, 1/4].
 * ``custom``, ``Table(samples)`` -- a monotone sample table, interpolated linearly.
 """
@@ -150,7 +153,7 @@ class Sine(AlphaProfile):
 
 
 class Ck(AlphaProfile):
-    """One-turn piecewise-polynomial profile, k times differentiable at u=1/4.
+    """One-turn piecewise-polynomial profile, C^k at u = 1/4 for even k and C^(k+1) for odd k.
 
     Rejects lam values for which the first half loses monotonicity; the
     error message reports a witness u with non-positive derivative.
@@ -396,5 +399,5 @@ CURVE_PRESET_NOTES: dict[str, str] = {
     "classic": "one-turn spiral, the unique smooth balanced symbol",
     "two-turn": "crosses each radius twice; balanced like the one-turn form",
     "sine-mild": "analytic one-turn variant, balanced but not algebraic",
-    "ck-smooth": "algebraic one-turn variant, exactly k times differentiable",
+    "ck-smooth": "algebraic one-turn variant, C^2 at its seam (k = 1)",
 }

@@ -69,12 +69,16 @@ vanish exactly at the nonzero multiples of parts, so f == L^2 exactly when P
 is 1/parts-periodic.  For two parts, integrating P(x) = P(x + 1/2) once gives
 one relation per turn count: eq_alal, the quarter-shift law
 alpha(u + 1/4) = alpha(u) + 1/2, at one turn, eq_al3 at 3/2 turns and
-eq_alalal at two.  eq_mm restates eq_alal through the slice measure
-``m_function`` (its residual at u is -2 times eq_alal's at u/2), and eq_sigma
-restates eq_alalal through sigma(u) = alpha(u + 1/4) - alpha(u).  Each entry
-holds the turn count the relation applies to, the end of its domain and its
-residual LHS - RHS; ``relation_residual`` takes the sup of |residual| on a
-grid of it.
+eq_alalal at two.  They are two-part laws, so a report carries them only at
+two parts; at three or more its residuals are empty.  Each law is reported
+once.  Two restatements are left out: the slice measure of the
+half-compressed region, m(u) = alpha(u/2) + 1 - alpha(u/2 + 1/4) on
+(0, 1/2] and alpha(u/2) - alpha(u/2 - 1/4) on (1/2, 1], has m(u) - m(u + 1/2)
+equal to -2 times eq_alal's residual at u/2; and sigma(u) = alpha(u + 1/4) -
+alpha(u) has sigma(u + 1/2) - (1/2 - sigma(u)) equal to eq_alalal's residual.
+Each entry holds the turn count the relation applies to, the end of its
+domain and its residual LHS - RHS; ``relation_residual`` takes the sup of
+|residual| on a grid of it.
 """
 
 from __future__ import annotations
@@ -265,34 +269,6 @@ def perfect_profile(
 # -- relation residuals -------------------------------------------------------
 
 
-def _require_turns(profile: AlphaProfile, relation: str, turns: float) -> None:
-    if abs(profile.turns - turns) > TURN_TOLERANCE:
-        raise ValueError(
-            f"relation {relation} applies to profiles with {turns} turns, "
-            f"got {profile.turns}"
-        )
-
-
-def m_function(profile: AlphaProfile, u):
-    """Slice measure of the half-compressed region at circle position u.
-
-    With abar(u) = alpha(u/2) on (0, 1], the region between the graph of
-    abar and its half-turn image has vertical slice measure
-
-        m(u) = abar(u) + 1 - abar(u + 1/2)   for 0 < u <= 1/2,
-        m(u) = abar(u) - abar(u - 1/2)       for 1/2 < u <= 1.
-    """
-    _require_turns(profile, "m_function", 1.0)
-    scalar = np.ndim(u) == 0
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    if not np.all((u > 0.0) & (u <= 1.0)):
-        raise ValueError("m_function argument must lie in (0, 1]")
-    abar = lambda x: profile._alpha(x / 2.0)
-    low = u <= 0.5
-    out = (abar(u) + low) - abar(np.where(low, u + 0.5, u - 0.5))
-    return float(out[0]) if scalar else out
-
-
 def _grid(lo: float, hi: float) -> np.ndarray:
     # RESIDUAL_GRID points in (lo, hi], endpoint included
     return lo + (hi - lo) * (np.arange(1, RESIDUAL_GRID + 1) / RESIDUAL_GRID)
@@ -302,12 +278,8 @@ def _grid(lo: float, hi: float) -> np.ndarray:
 #: domain (0, end] and its residual LHS - RHS on a profile p at u.
 RELATIONS = {
     "eq_alal": (1.0, 0.25, lambda p, u: p._alpha(u + 0.25) - p._alpha(u) - 0.5),
-    "eq_mm": (1.0, 0.5, lambda p, u: m_function(p, u) - m_function(p, u + 0.5)),
     "eq_alalal": (2.0, 0.25, lambda p, u: 0.5 + p._alpha(u) + p._alpha(u + 0.5)
                   - p._alpha(u + 0.25) - p._alpha(u + 0.75)),
-    # sigma(u + 1/2) = 1/2 - sigma(u), with sigma(x) = alpha(x + 1/4) - alpha(x)
-    "eq_sigma": (2.0, 0.25, lambda p, u: (p._alpha(u + 0.5 + 0.25) - p._alpha(u + 0.5))
-                 - (0.5 - (p._alpha(u + 0.25) - p._alpha(u)))),
     "eq_al3": (1.5, 0.25, lambda p, u: p._alpha(u) + p._alpha(u + 0.5) - p._alpha(u + 0.25) - 0.5),
 }
 
@@ -317,11 +289,15 @@ def relation_residual(profile: AlphaProfile, relation: str) -> float:
     if relation not in RELATIONS:
         raise ValueError(f"unknown relation {relation!r}, expected one of {tuple(RELATIONS)}")
     turns, end, residual = RELATIONS[relation]
-    _require_turns(profile, relation, turns)
+    if abs(profile.turns - turns) > TURN_TOLERANCE:
+        raise ValueError(f"relation {relation} applies to profiles with {turns} turns, got {profile.turns}")
     return float(np.max(np.abs(residual(profile, _grid(0.0, end)))))
 
 
-def applicable_relations(turns: float) -> tuple[str, ...]:
+def applicable_relations(turns: float, parts: int) -> tuple[str, ...]:
+    """The relations a report carries: the turn count's two-part law, and none at other part counts."""
+    if parts != 2:
+        return ()
     return tuple(r for r, (t, _, _) in RELATIONS.items() if abs(turns - t) <= TURN_TOLERANCE)
 
 
@@ -479,7 +455,9 @@ def check_axioms(
         witness=max_angle,
     )
 
-    residuals = {rel: relation_residual(profile, rel) for rel in applicable_relations(profile.turns)}
+    residuals = {
+        rel: relation_residual(profile, rel) for rel in applicable_relations(profile.turns, spec.parts)
+    }
 
     tolerances = {
         "flatness": flatness_tolerance,

@@ -33,13 +33,15 @@ power by squaring; numpy's general power, which it replaced, is kept here
 as the reference it must match to a few ulps.  The Monte-Carlo oracle decides
 most sine and ck memberships from a table of alpha's brackets; the forward
 test it replaced, alpha at both copy ends of every sample, is kept here as the
-reference it must equal.  ``m_function`` reads alpha on whole arrays; the
-masked gathers and scatters it replaced are kept here as the reference it
-must equal bit for bit.  The table's margin must cover twice the rounding
-error of computed alpha, which is measured against alpha in 50-digit decimal
-arithmetic.  Sine's A4 profile has a closed form, from the Fourier series of
-the centres' density, against which the library's profile and the oracle's
-estimate are both tested.
+reference it must equal.  The verify report states each two-part balance
+law once; the two restatements it left out are here, each with its residual
+on the grid of the law it restates: sigma's law, and the slice measure
+``m_function``, which reads alpha on whole arrays and must equal its masked
+gathers and scatters bit for bit.  The table's margin must cover twice the
+rounding error of computed alpha, which is measured against alpha in 50-digit
+decimal arithmetic.  Sine's A4 profile has a closed form, from the Fourier
+series of the centres' density, against which the library's profile and the
+oracle's estimate are both tested.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ import numpy as np
 
 from yinyang.circle_sets import EPS, CircleSet, _prefix_sums
 from yinyang.curves import Ck, Fermat, Sine, Table
-from yinyang.verify import MAX_V_QUADRATURE, _knot_map
+from yinyang.verify import MAX_V_QUADRATURE, TURN_TOLERANCE, _grid, _knot_map
 
 
 def grid_membership(arcs: list[tuple[float, float]], x: np.ndarray) -> np.ndarray:
@@ -502,6 +504,27 @@ def forward_membership(profile, x: np.ndarray, v: np.ndarray, length: float) -> 
     return inside
 
 
+def m_function(profile, u):
+    """Slice measure of the half-compressed region at circle position u, for a one-turn profile.
+
+    With abar(u) = alpha(u/2) on (0, 1], the region between the graph of
+    abar and its half-turn image has vertical slice measure
+
+        m(u) = abar(u) + 1 - abar(u + 1/2)   for 0 < u <= 1/2,
+        m(u) = abar(u) - abar(u - 1/2)       for 1/2 < u <= 1.
+    """
+    if abs(profile.turns - 1.0) > TURN_TOLERANCE:
+        raise ValueError(f"m_function applies to profiles with 1.0 turns, got {profile.turns}")
+    scalar = np.ndim(u) == 0
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    if not np.all((u > 0.0) & (u <= 1.0)):
+        raise ValueError("m_function argument must lie in (0, 1]")
+    abar = lambda x: profile._alpha(x / 2.0)
+    low = u <= 0.5
+    out = (abar(u) + low) - abar(np.where(low, u + 0.5, u - 0.5))
+    return float(out[0]) if scalar else out
+
+
 def masked_m_function(profile, u: np.ndarray) -> np.ndarray:
     """The slice measure m(u), u in (0, 1], through the masked gathers and scatters of its two sides.
 
@@ -513,6 +536,19 @@ def masked_m_function(profile, u: np.ndarray) -> np.ndarray:
     out[low] = abar(u[low]) + 1.0 - abar(u[low] + 0.5)
     out[~low] = abar(u[~low]) - abar(u[~low] - 0.5)
     return out
+
+
+def eq_mm_residual(profile) -> float:
+    """Sup of |m(u) - m(u + 1/2)| over u in (0, 1/2], whose halves are eq_alal's grid points u/2."""
+    u = _grid(0.0, 0.5)
+    return float(np.max(np.abs(m_function(profile, u) - m_function(profile, u + 0.5))))
+
+
+def eq_sigma_residual(profile) -> float:
+    """Sup of |sigma(u + 1/2) - (1/2 - sigma(u))|, sigma(x) = alpha(x + 1/4) - alpha(x), on eq_alalal's grid."""
+    u = _grid(0.0, 0.25)
+    sigma = lambda x: profile._alpha(x + 0.25) - profile._alpha(x)
+    return float(np.max(np.abs(sigma(u + 0.5) - (0.5 - sigma(u)))))
 
 
 def loop_dedupe(points: np.ndarray) -> np.ndarray:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -481,6 +482,31 @@ def test_a_long_unknown_axiom_or_preset_is_cut_short(argv, field, tmp_path, caps
     out = tmp_path / "x.svg"
     _assert_usage_error([str(out) if a == "OUT" else a for a in argv], field, capsys)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--family"], ["oracle", "--g"], ["verify", "--lambda"], ["verify", "--k"], ["render", "--dark"],
+], ids=lambda argv: argv[1])
+def test_argparse_cuts_a_long_refused_token_short(argv, capsys):
+    # argparse's invalid choice and invalid value messages repeated all 100 000 characters
+    assert run([*argv, "x" * 100_000]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: argument {argv[1]}: invalid " in captured.err and "'xxx" in captured.err
+    assert len(captured.err) < 1024, len(captured.err)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--family", "bogus"], ["verify", "--k", "1.5"], ["oracle", "--g", "x"], ["render", "--dark", "a,b"],
+    ["bogus"], ["verify", "--family", "it's"],
+])
+def test_argparse_keeps_a_short_refused_token_whole(argv, monkeypatch, capsys):
+    # a short token's usage message is argparse's own, byte for byte
+    assert run(argv) == 2
+    ours = capsys.readouterr().err
+    monkeypatch.setattr(cli._Parser, "error", argparse.ArgumentParser.error)
+    assert run(argv) == 2
+    assert capsys.readouterr().err == ours
 
 
 def test_render_steps_times_parts_capped(tmp_path, capsys):

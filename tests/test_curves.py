@@ -7,6 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
+from numpy.polynomial import Polynomial
 from hypothesis import given, settings, strategies as st
 
 from _oracles import alpha_prime, bisect_inverse, ck_alpha_pow
@@ -112,6 +113,20 @@ def test_ck_quarter_shift():
         p = Ck(lam, k)
         u = np.linspace(1e-9, 0.25, 500)
         assert np.max(np.abs(p.evaluate(u + 0.25) - p.evaluate(u) - 0.5)) <= 1e-12
+
+
+@pytest.mark.parametrize("k", range(8))
+def test_ck_is_c_k_for_even_k_and_c_k_plus_one_for_odd_k(k):
+    # near u = 1/4 alpha is 2u + lam g(|u - 1/4|), g(s) = (s (1/4 - s))^(k+1), whose first
+    # odd power of s, s^(k+1) or s^(k+2), is the first derivative to jump at the seam
+    lower = Polynomial([0.0, 2.0]) + Polynomial([0.0, 0.25, -1.0]) ** (k + 1)  # lam = 1 on [0, 1/4]
+    upper = 0.5 + lower(Polynomial([-0.25, 1.0]))  # 1/2 + lower(u - 1/4) on [1/4, 1/2]
+    ck = Ck(1.0, k)
+    for piece, u in ((lower, np.linspace(0.0, 0.25, 33)), (upper, np.linspace(0.25, 0.5, 33))):
+        assert np.max(np.abs(piece(u) - ck.evaluate(u))) <= 1e-13
+    jumps = [n for n in range(1, 2 * k + 3)
+             if not math.isclose(lower.deriv(n)(0.25), upper.deriv(n)(0.25), rel_tol=1e-9, abs_tol=1e-9)]
+    assert jumps[0] - 1 == (k if k % 2 == 0 else k + 1)
 
 
 def test_ck_rejects_nonmonotone_lambda_with_witness():

@@ -13,8 +13,11 @@ from _oracles import (
     alpha_prime,
     bisect_inverse,
     decimal_alpha,
+    eq_mm_residual,
+    eq_sigma_residual,
     forward_membership,
     interpolant_profile_values,
+    m_function,
     masked_m_function,
     one_pass_profile_values,
     profile_knots,
@@ -61,7 +64,6 @@ from yinyang.verify import (
     applicable_relations,
     check_axioms,
     knot_count,
-    m_function,
     monte_carlo_overlap,
     perfect_profile,
     radial_crossing_range,
@@ -626,12 +628,12 @@ def test_a_many_turn_table_whose_every_block_wraps(monkeypatch):
 def test_residuals_fermat_one_turn():
     p = Fermat(1.0)
     assert relation_residual(p, "eq_alal") <= 1e-12
-    assert relation_residual(p, "eq_mm") <= 1e-12
+    assert eq_mm_residual(p) <= 1e-12
 
 
 def test_residuals_fermat_two_turns():
     p = Fermat(2.0)
-    assert relation_residual(p, "eq_sigma") <= 1e-12
+    assert eq_sigma_residual(p) <= 1e-12
     assert relation_residual(p, "eq_alalal") <= 1e-12
 
 
@@ -645,16 +647,26 @@ def test_residual_domain_mismatch():
     with pytest.raises(ValueError, match="1.0 turns"):
         relation_residual(Fermat(2.0), "eq_alal")
     with pytest.raises(ValueError, match="2.0 turns"):
-        relation_residual(Fermat(1.0), "eq_sigma")
+        relation_residual(Fermat(1.0), "eq_alalal")
     with pytest.raises(ValueError, match="1.5 turns"):
         relation_residual(Fermat(1.0), "eq_al3")
 
 
 def test_applicable_relations_follow_turns():
-    assert applicable_relations(1.0) == ("eq_alal", "eq_mm")
-    assert applicable_relations(2.0) == ("eq_alalal", "eq_sigma")
-    assert applicable_relations(1.5) == ("eq_al3",)
-    assert applicable_relations(1.25) == ()
+    assert applicable_relations(1.0, 2) == ("eq_alal",)
+    assert applicable_relations(2.0, 2) == ("eq_alalal",)
+    assert applicable_relations(1.5, 2) == ("eq_al3",)
+    assert applicable_relations(1.25, 2) == ()
+    # each relation is a two-part law
+    for parts in (3, 4, MAX_PARTS):
+        assert all(applicable_relations(turns, parts) == () for turns in (1.0, 1.5, 2.0))
+
+
+def test_a_report_carries_the_two_part_laws_at_two_parts_only():
+    # three-part sine read eq_alal 2.2e-16 while A4 failed with max_dev 7.6e-3
+    three = check_axioms(CurveSpec(family="sine", lam=0.1, parts=3))
+    assert three.residuals == {} and not three.axioms["A4"].passed
+    assert list(check_axioms(CurveSpec(family="sine", lam=0.1)).residuals) == ["eq_alal"]
 
 
 @pytest.mark.parametrize("turns", [1.0, 2.0])
@@ -663,8 +675,8 @@ def test_relations_read_alpha_past_a_domain_end_within_the_turn_tolerance(turns)
     # (u + 1/4, u + 3/4) then pass its domain_end: they read alpha unchecked
     end = turns / 2.0 - 4e-13
     profile = Table([[end / 2.0, 0.5], [end, 1.0]])
-    assert applicable_relations(profile.turns) == applicable_relations(turns) != ()
-    for relation in applicable_relations(turns):
+    assert applicable_relations(profile.turns, 2) == applicable_relations(turns, 2) != ()
+    for relation in applicable_relations(turns, 2):
         assert relation_residual(profile, relation) <= 1e-9
 
 
@@ -674,8 +686,8 @@ def test_restated_relations_read_the_relations_they_restate(one, two):
     # m(u) - m(u + 1/2) = -2 (alpha(u/2 + 1/4) - alpha(u/2) - 1/2), on eq_alal's grid points,
     # and sigma's law is eq_alalal rearranged: a relation wired to another's formula fails here
     one, two = (CurveSpec(family="custom", samples=s).alpha_profile() for s in (one, two))
-    assert abs(relation_residual(one, "eq_mm") - 2.0 * relation_residual(one, "eq_alal")) <= 1e-14
-    assert abs(relation_residual(two, "eq_sigma") - relation_residual(two, "eq_alalal")) <= 1e-14
+    assert abs(eq_mm_residual(one) - 2.0 * relation_residual(one, "eq_alal")) <= 1e-14
+    assert abs(eq_sigma_residual(two) - relation_residual(two, "eq_alalal")) <= 1e-14
 
 
 def test_residual_unknown_relation():
@@ -786,7 +798,7 @@ def test_check_axioms_fermat_two_turns():
     report = check_axioms(CurveSpec(family="fermat", turns=2.0), **FAST)
     expected = {"A1": True, "A2": True, "A3": False, "A3''": True, "A4": True, "A5": True}
     assert {k: v.passed for k, v in report.axioms.items()} == expected
-    assert report.residuals["eq_sigma"] <= 1e-12
+    assert list(report.residuals) == ["eq_alalal"]
     assert report.residuals["eq_alalal"] <= 1e-12
 
 
