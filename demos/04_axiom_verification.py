@@ -1,10 +1,12 @@
 """Axiom checks across curves: the canonical spiral, variants, a counterexample.
 
 A4 (reflective balance) is the discriminating check: the overlap profile
-f(g) must be flat at 1/parts^2.  The one-turn spiral, the sine variant,
-and the piecewise-polynomial variant all pass; the quadratic profile
-passes A1-A3 but fails A4 by a wide, quantified margin.  The two-turn
-spiral swaps A3 for its two-crossing version and passes everything else.
+f(g) must be flat at 1/parts^2.  The one-turn spiral, the sine variant and
+the ck variant all pass it.  A5 asks for a smooth curve: the analytic sine
+variant passes, and ck, algebraic but only C^2 at u = 1/4, fails.  The
+quadratic profile passes A1-A3 but fails A4 by a wide, quantified margin,
+and A5, since a sample table kinks at its knots.  The two-turn spiral swaps
+A3 for its two-crossing version and passes everything else.
 """
 
 import numpy as np
@@ -32,6 +34,11 @@ def show(title, spec, **kwargs):
 show("one-turn spiral", CurveSpec(family="fermat", turns=1.0), **FAST)
 show("two-turn spiral", CurveSpec(family="fermat", turns=2.0), **FAST)
 show("sine variant lam=0.2", CurveSpec(family="sine", lam=0.2), **FAST)
+ck = show("ck variant lam=1, k=1", CurveSpec(family="ck", lam=1.0, k=1), **FAST)
+print(f"  A5: {ck.axioms['A5'].detail}")
+print("  balanced and algebraic, but not smooth: the paper's theorem, that Fermat's spiral is the")
+print("  only balanced smooth curve algebraic in polar coordinates, needs smoothness to exclude it")
+print()
 show("three-part symbol", CurveSpec(family="fermat", turns=1.0, parts=3), **FAST)
 
 quad_table = tuple((float(u), float(4 * u * u)) for u in np.linspace(0.0, 0.5, 2001))

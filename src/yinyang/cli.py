@@ -46,21 +46,21 @@ _NON_FINITE = frozenset(("nan", "inf", "-inf"))
 _MARKER = "\x00values"
 _MARKER_TEXT = json.dumps(_MARKER)
 
-#: A quoted token of an argparse message, escapes kept whole; one left open runs to the end,
-#: so every match succeeds from its first quote and the scan is linear.
-_QUOTED = re.compile(r"""'(?:[^'\\]|\\.?)*(?:'|\Z)|"(?:[^"\\]|\\.?)*(?:"|\Z)""", re.S)
+#: A token of an argparse message: a quoted one, escapes kept whole (one left open runs to the
+#: end, so every match succeeds from its first quote and the scan is linear), or a bare word.
+_TOKEN = re.compile(r"""'(?:[^'\\]|\\.?)*(?:'|\Z)|"(?:[^"\\]|\\.?)*(?:"|\Z)|[^\s'"]+""", re.S)
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse, with each quoted token of a usage error cut short by ``_shown``.
+    """argparse, with each token of a usage error, quoted or bare, cut short by ``_shown``.
 
-    argparse's ``invalid choice`` and ``invalid ... value`` messages repeat the
-    refused token whole.  Subparsers are made of the parent's class, so this
-    covers every flag.
+    argparse's ``invalid choice`` and ``invalid ... value`` messages quote the refused
+    token whole, and ``unrecognized arguments`` lists the extra words whole, bare.
+    Subparsers are made of the parent's class, so this covers every flag.
     """
 
     def error(self, message: str) -> NoReturn:
-        super().error(_QUOTED.sub(lambda m: _shown(m.group()), message))
+        super().error(_TOKEN.sub(lambda m: _shown(m.group()), message))
 
 
 def _add_curve_flags(parser: argparse.ArgumentParser) -> None:

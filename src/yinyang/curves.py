@@ -55,8 +55,8 @@ class AlphaProfile(ABC):
     ``_alpha`` and ``_inverse`` on the points it makes itself.  The
     profile is strictly increasing from 0 (exclusive) at u -> 0 to 1 at
     u = domain_end = turns/2.  A family gives the formula ``_alpha``, may list
-    interior ``seams`` where alpha is not smooth, and may replace the bisecting
-    ``_inverse`` by a closed form.
+    interior ``seams`` where alpha is not smooth and state its ``smoothness``
+    there, and may replace the bisecting ``_inverse`` by a closed form.
     ``linear_pieces`` says alpha is linear between its seams, and that
     ``_inverse`` is closed; the oracle tests the other, curved, families
     forward, through ``_alpha`` alone.
@@ -103,6 +103,10 @@ class AlphaProfile(ABC):
     def seams(self) -> np.ndarray:
         """Ends of the pieces on which alpha is smooth: 0, interior seams, domain_end."""
         return np.array([0.0, self.domain_end])
+
+    def smoothness(self) -> tuple[float, float | None]:
+        """(order, seam): alpha is C^order and no smoother at u = seam; analytic is (inf, None)."""
+        return math.inf, None
 
     def _inverse(self, v: np.ndarray) -> np.ndarray:
         """The root by 64 halvings of [0, domain_end]; a family with a closed form replaces it."""
@@ -217,6 +221,9 @@ class Ck(AlphaProfile):
     def seams(self):
         return np.array([0.0, 0.25, 0.5])
 
+    def smoothness(self):
+        return self.k + self.k % 2, 0.25  # the parity rule of the module docstring
+
 
 def _sample_table(samples) -> tuple[tuple[float, float], ...]:
     """A sample table as float pairs: a non-empty sequence of [u, v] pairs of finite numbers."""
@@ -259,6 +266,12 @@ class Table(AlphaProfile):
 
     def seams(self):
         return self._u.copy()
+
+    def smoothness(self):
+        """C^0 at the first interior knot whose two computed slopes differ; linear if none do."""
+        slopes = np.diff(self._v) / np.diff(self._u)
+        kinks = np.flatnonzero(slopes[1:] != slopes[:-1])
+        return (0, float(self._u[kinks[0] + 1])) if len(kinks) else (math.inf, None)
 
     def _inverse(self, v):
         return np.interp(v, self._v, self._u)
@@ -370,22 +383,6 @@ def beta_polyline(spec: CurveSpec, n: int) -> list[DiskPoint]:
     branch = branch_polyline(spec, n)
     return [DiskPoint(r=float(r), phi=float(phi + 2.0 * math.pi * j / spec.parts))
             for j in range(spec.parts) for r, phi in branch]
-
-
-def polyline_turning_angles(polar: np.ndarray) -> np.ndarray:
-    """Unsigned angles (radians) between consecutive chords of a polyline.
-
-    ``polar`` is an (n, 2) array of (r, phi) vertices, as from
-    :func:`branch_polyline`.
-    """
-    r, phi = polar[:, 0], polar[:, 1]
-    chords = np.diff(np.stack((r * np.cos(phi), r * np.sin(phi)), axis=1), axis=0)
-    norms = np.linalg.norm(chords, axis=1)
-    keep = norms > 1e-15
-    chords = chords[keep]
-    dots = np.sum(chords[:-1] * chords[1:], axis=1)
-    cross = chords[:-1, 0] * chords[1:, 1] - chords[:-1, 1] * chords[1:, 0]
-    return np.abs(np.arctan2(cross, dots))
 
 
 CURVE_PRESETS: dict[str, CurveSpec] = {

@@ -55,8 +55,12 @@ Axioms checked by ``check_axioms``:
 * A3   -- each radius is crossed exactly once; A3'' asks for exactly twice.
           Exact from the closed form parts * turns / 2 (``radial_crossing_range``).
 * A4   -- flat reflection-overlap profile at 1/parts^2.
-* A5   -- sampling-regularity surrogate for smoothness: bounded turning
-          angles of the sampled boundary polyline.  Not a certificate.
+* A5   -- each branch is smooth (structural: each family states the order of
+          alpha at its first seam, ``AlphaProfile.smoothness``).  Exact, since
+          alpha > 0 and alpha' > 0 on (0, domain_end] and phi = 2 pi u is a
+          coordinate along the branch (sqrt(alpha/pi), 2 pi u), so the branch is
+          exactly as smooth as alpha.  It passes only where alpha is C^inf, the
+          paper's "smooth", so every ck profile and every kinked table fails.
 
 Relation residuals (``RELATIONS``, keyed by report id) test A4's flatness
 law.  Substituting s = 2t above gives f(g) = (tent * P)(g - L), the tent's
@@ -91,7 +95,7 @@ import numpy as np
 
 from . import __version__
 from .circle_sets import BLOCK, MAX_Q, _prefix_sums, _sums_below
-from .curves import AlphaProfile, CurveSpec, Table, branch_polyline, polyline_turning_angles
+from .curves import AlphaProfile, CurveSpec, Table
 from .geometry import finite, integer, mod1
 
 AXIOM_IDS = ("A1", "A2", "A3", "A3''", "A4", "A5")
@@ -102,8 +106,6 @@ TURN_TOLERANCE = 1e-12
 #: Flatness tolerance for A4: closed-form families vs interpolated tables.
 FLATNESS_TOL_CLOSED_FORM = 1e-6
 FLATNESS_TOL_TABLE = 1e-4
-TURNING_ANGLE_TOL = 0.2  # radians, A5 sampling surrogate
-POLYLINE_POINTS = 512  # samples per branch for A5
 RESIDUAL_GRID = 10_000
 
 #: Default reflection axes and interpolation knots of the A4 profile.
@@ -441,18 +443,14 @@ def check_axioms(
             "extends the two-part balance criterion; treat the A4 verdict as advisory",
         ]
 
-    # A5: sampling-regularity surrogate for smoothness, per branch (the jump from one
-    # branch's rim to the next branch's center is not a turn).  Branch j is branch 0
-    # rotated by j/parts of a turn, which moves no turning angle, so branch 0 stands for all.
-    angles = polyline_turning_angles(branch_polyline(spec, POLYLINE_POINTS))
-    max_angle = float(np.max(angles, initial=0.0))
+    # A5: smoothness per branch (the jump from one branch's rim to the next branch's
+    # centre is not a turn); branch j is branch 0 rotated, so alpha's order is every branch's.
+    order, seam = profile.smoothness()
     axioms["A5"] = AxiomVerdict(
-        passed=max_angle <= TURNING_ANGLE_TOL,
-        detail=(
-            f"max turning angle {max_angle:.4f} rad over {POLYLINE_POINTS} samples "
-            "per branch (sampling check, not a smoothness certificate)"
-        ),
-        witness=max_angle,
+        passed=seam is None,
+        detail="structural: alpha is analytic" if seam is None
+        else f"structural: alpha is C^{order} at u = {seam}, not C^inf",
+        witness=seam,
     )
 
     residuals = {
@@ -461,7 +459,6 @@ def check_axioms(
 
     tolerances = {
         "flatness": flatness_tolerance,
-        "turning_angle": TURNING_ANGLE_TOL,
         "residual_grid": float(RESIDUAL_GRID),
     }
     return VerifyReport(

@@ -41,7 +41,9 @@ gathers and scatters bit for bit.  The table's margin must cover twice the
 rounding error of computed alpha, which is measured against alpha in 50-digit
 decimal arithmetic.  Sine's A4 profile has a closed form, from the Fourier
 series of the centres' density, against which the library's profile and the
-oracle's estimate are both tested.
+oracle's estimate are both tested.  A5 reads each family's stated smoothness;
+the sampled turning angles it replaced, which measure a kink's size rather
+than whether there is one, are kept here to cross-check that statement.
 """
 
 from __future__ import annotations
@@ -549,6 +551,22 @@ def eq_sigma_residual(profile) -> float:
     u = _grid(0.0, 0.25)
     sigma = lambda x: profile._alpha(x + 0.25) - profile._alpha(x)
     return float(np.max(np.abs(sigma(u + 0.5) - (0.5 - sigma(u)))))
+
+
+def polyline_turning_angles(polar: np.ndarray) -> np.ndarray:
+    """Unsigned angles (radians) between consecutive chords of a polyline.
+
+    ``polar`` is an (n, 2) array of (r, phi) vertices, as from
+    :func:`branch_polyline`.
+    """
+    r, phi = polar[:, 0], polar[:, 1]
+    chords = np.diff(np.stack((r * np.cos(phi), r * np.sin(phi)), axis=1), axis=0)
+    norms = np.linalg.norm(chords, axis=1)
+    keep = norms > 1e-15
+    chords = chords[keep]
+    dots = np.sum(chords[:-1] * chords[1:], axis=1)
+    cross = chords[:-1, 0] * chords[1:, 1] - chords[:-1, 1] * chords[1:, 0]
+    return np.abs(np.arctan2(cross, dots))
 
 
 def loop_dedupe(points: np.ndarray) -> np.ndarray:

@@ -175,6 +175,17 @@ def test_verify_many_turn_fermat_passes_a4_at_the_default_t_rule(capsys):
     assert json.loads(capsys.readouterr().out)["profile"]["v_nodes"] == 100_001
 
 
+@pytest.mark.parametrize("curve, a5", [
+    (["--family", "ck", "--lambda", "1", "--k", "1"], 1),
+    (["--family", "sine", "--lambda", "0.1"], 0),
+], ids=["ck-k1", "sine-0.1"])
+def test_verify_a5_sets_the_exit_code_only_when_requested(curve, a5, capsys):
+    # ck is C^2 at its seam and fails A5; the default axioms leave A5 out
+    assert run(["verify", *curve, *FAST_VERIFY, "--axioms", "A5"]) == a5
+    assert json.loads(capsys.readouterr().out)["axioms"]["A5"]["pass"] is (a5 == 0)
+    assert run(["verify", *curve, *FAST_VERIFY]) == 0
+
+
 def test_verify_bad_axiom_id_exits_two():
     code = run(["verify", "--family", "fermat", *FAST_VERIFY, "--axioms", "A9"])
     assert code == 2
@@ -496,9 +507,20 @@ def test_argparse_cuts_a_long_refused_token_short(argv, capsys):
     assert len(captured.err) < 1024, len(captured.err)
 
 
+@pytest.mark.parametrize("command", ["verify", "render"])
+@pytest.mark.parametrize("prefix", ["", "--"], ids=["bare", "dashed"])
+def test_argparse_cuts_a_long_unrecognized_word_short(command, prefix, capsys):
+    # argparse's unrecognized arguments message repeats the extra words whole and unquoted
+    assert run([command, prefix + "x" * 100_000]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: unrecognized arguments: {prefix}xxx" in captured.err
+    assert len(captured.err) < 1024, len(captured.err)
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--family", "bogus"], ["verify", "--k", "1.5"], ["oracle", "--g", "x"], ["render", "--dark", "a,b"],
-    ["bogus"], ["verify", "--family", "it's"],
+    ["bogus"], ["verify", "--family", "it's"], ["verify", "extra", "--words"], ["render", "--fam"],
 ])
 def test_argparse_keeps_a_short_refused_token_whole(argv, monkeypatch, capsys):
     # a short token's usage message is argparse's own, byte for byte

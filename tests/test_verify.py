@@ -20,6 +20,7 @@ from _oracles import (
     m_function,
     masked_m_function,
     one_pass_profile_values,
+    polyline_turning_angles,
     profile_knots,
     quarter_shift_profile_values,
     quarter_shift_sup,
@@ -41,7 +42,6 @@ from yinyang.curves import (
     Table,
     beta_polyline,
     branch_polyline,
-    polyline_turning_angles,
 )
 from yinyang.geometry import MAX_PARTS, mod1
 from yinyang.render import RenderConfig
@@ -56,7 +56,6 @@ from yinyang.verify import (
     MAX_G_GRID,
     MAX_MC_SAMPLES,
     MAX_V_QUADRATURE,
-    POLYLINE_POINTS,
     V_QUADRATURE,
     AxiomVerdict,
     _frac,
@@ -1245,7 +1244,10 @@ def test_oracle_rejects_non_finite_axis():
             monte_carlo_overlap(CurveSpec(family="fermat"), g=g, samples=10, seed=1)
 
 
-# -- A5 polyline ------------------------------------------------------------------------------
+# -- A5: smoothness from each family's closed form, and the sampled turning angles -------------
+
+#: Samples per branch of the sampled turning-angle cross-check.
+POLYLINE_POINTS = 512
 
 
 def _disk_point_turning_angles(points):
@@ -1258,6 +1260,10 @@ def _disk_point_turning_angles(points):
     return np.abs(np.arctan2(cross, dots))
 
 
+def _max_turning_angle(spec, n):
+    return float(np.max(polyline_turning_angles(branch_polyline(spec, n))))
+
+
 @pytest.mark.parametrize("spec", [
     CurveSpec(family="fermat", turns=1.0),
     CurveSpec(family="fermat", turns=2.0, parts=5),
@@ -1266,14 +1272,14 @@ def _disk_point_turning_angles(points):
     CurveSpec(family="custom", samples=quad_table()),
 ], ids=_spec_id)
 def test_a5_max_angle_matches_disk_point_polyline(spec):
+    # the sampled oracle on branch 0's (r, phi) array against every branch as DiskPoint objects
     n = POLYLINE_POINTS
     points = beta_polyline(spec, n)
     expected = max(
         float(np.max(_disk_point_turning_angles(points[j * n : (j + 1) * n])))
         for j in range(spec.parts)
     )
-    report = check_axioms(spec, g_grid=8, v_quadrature=101)
-    assert report.axioms["A5"].witness == pytest.approx(expected, abs=1e-12)
+    assert _max_turning_angle(spec, n) == pytest.approx(expected, abs=1e-12)
 
 
 @pytest.mark.parametrize("parts", range(2, 8))
@@ -1285,13 +1291,74 @@ def test_a5_max_angle_matches_disk_point_polyline(spec):
     CurveSpec(family="custom", samples=quad_table()),
 ], ids=lambda s: _spec_id(s).removesuffix("-parts2"))
 def test_a5_witness_is_the_largest_angle_over_every_branch(spec, parts):
-    # A5 reads branch 0 alone; its rotated copies move the angles only by rounding
+    # A5 is per branch: branch j is branch 0 turned by j/parts, which moves the sampled
+    # angles only by rounding, so branch 0's seam is every branch's, at any part count
     spec = dataclasses.replace(spec, parts=parts)
     branch = branch_polyline(spec, POLYLINE_POINTS)
     expected = 0.0
-    for j in range(parts):  # branch j is branch 0 turned by j/parts
+    for j in range(parts):
         angles = polyline_turning_angles(branch + [0.0, 2.0 * math.pi * j / parts])
         if len(angles):
             expected = max(expected, float(np.max(angles)))
+    assert abs(_max_turning_angle(spec, POLYLINE_POINTS) - expected) <= 1e-13
     report = check_axioms(spec, g_grid=8, v_quadrature=101)
-    assert abs(report.axioms["A5"].witness - expected) <= 1e-13
+    assert report.axioms["A5"].witness == spec.alpha_profile().smoothness()[1]
+
+
+@pytest.mark.parametrize("spec", [
+    CurveSpec(family="fermat", turns=1.0),
+    CurveSpec(family="fermat", turns=2.5),
+    CurveSpec(family="sine", lam=0.24),
+    CurveSpec(family="ck", lam=1.0, k=1),
+    CurveSpec(family="ck", lam=1.0, k=3),
+], ids=_spec_id)
+def test_sampled_turning_angle_falls_as_one_over_n_where_alpha_is_c1(spec):
+    # a C^1 curve turns by about its curvature times the chord, so 8x the samples read 1/8 the angle
+    assert spec.alpha_profile().smoothness()[0] >= 1
+    ratio = _max_turning_angle(spec, 512) / _max_turning_angle(spec, 4096)
+    assert ratio >= 6.0, ratio
+
+
+@pytest.mark.parametrize("spec, seam", [
+    (CurveSpec(family="ck", lam=1.0, k=0), 0.25),
+    (CurveSpec(family="ck", lam=4.0, k=0), 0.25),
+    (CurveSpec(family="custom", samples=((0.125, 0.2), (0.5, 1.0))), 0.125),
+], ids=["ck-k0-lam1", "ck-k0-lam4", "custom-one-knot"])
+def test_sampled_turning_angle_tends_to_the_exact_kink_angle_at_a_c0_seam(spec, seam):
+    # the branch (sqrt(alpha/pi), 2 pi u) meets the radius at atan(r dphi/dr) = atan(4 pi alpha / alpha'),
+    # so a slope jump turns it by the difference of the two sides; the seam is a sample, so one
+    # vertex takes the whole turn
+    profile = spec.alpha_profile()
+    assert profile.smoothness() == (0, seam)
+    height = 4.0 * math.pi * profile.evaluate(seam)
+    left, right = (float(alpha_prime(profile, u)) for u in (seam, np.nextafter(seam, 1.0)))
+    kink = abs(math.atan(height / right) - math.atan(height / left))
+    assert abs(_max_turning_angle(spec, 262_144) - kink) <= 1e-4
+
+
+@pytest.mark.parametrize("k", range(8))
+def test_a5_fails_every_ck_profile_at_its_seam(k):
+    report = check_axioms(CurveSpec(family="ck", lam=1.0, k=k), g_grid=8, v_quadrature=101)
+    a5 = report.axioms["A5"]
+    assert not a5.passed and a5.witness == 0.25
+    assert a5.detail == f"structural: alpha is C^{k + k % 2} at u = 0.25, not C^inf"
+
+
+@pytest.mark.parametrize("spec", [
+    *(CurveSpec(family="fermat", turns=t, parts=p) for t in (1.0, 1.5, 2.0, 2.5) for p in range(2, 6)),
+    CurveSpec(family="sine", lam=0.1),
+    CurveSpec(family="sine", lam=0.24),
+    CurveSpec(family="custom", samples=((0.5, 1.0),)),
+    CurveSpec(family="custom", samples=((0.25, 0.5), (0.5, 1.0))),
+], ids=lambda s: _spec_id(s) + f"-{len(s.samples or ())}")
+def test_a5_passes_analytic_profiles(spec):
+    a5 = check_axioms(spec, g_grid=8, v_quadrature=101).axioms["A5"]
+    assert a5.to_json() == {"pass": True, "detail": "structural: alpha is analytic"}
+
+
+def test_a5_fails_a_table_at_its_first_kink():
+    samples = quad_table()
+    a5 = check_axioms(CurveSpec(family="custom", samples=samples), g_grid=8, v_quadrature=101).axioms["A5"]
+    assert not a5.passed
+    assert a5.witness == samples[1][0]
+    assert a5.detail == f"structural: alpha is C^0 at u = {samples[1][0]}, not C^inf"
